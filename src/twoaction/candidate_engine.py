@@ -26,7 +26,6 @@ from .combinatorics import (
     Permutation,
     block_swap_permutation,
     candidates_on_face_class,
-    candidate_count,
     chi,
     enumerate_permutations,
     maximal_equilibrium_count,
@@ -204,33 +203,33 @@ class CensusReport:
 def census(
     game: ProductTwoActionGame, method: Method = "both", use_kernel: bool | None = None
 ) -> CensusReport:
-    """Stream all candidates and count equilibria per face class.
+    """Count candidates and equilibria per face class.
 
-    With ``method="increment"`` the compiled kernel is used when available
-    (set ``use_kernel=False`` to force the streaming path); the other methods
-    always stream, since the sign route needs the exact coordinates.
+    With ``method="increment"`` the census kernel counts them from the
+    characteristic tuple (set ``use_kernel=False`` to stream every candidate
+    instead); the other methods always stream, since the sign route needs the
+    exact coordinates.  Raises ``RuntimeError`` if the candidate counts per
+    face class differ from ``candidates_on_face_class``.
     """
     m = game.m
     if use_kernel is None:
         use_kernel = method == "increment"
     if use_kernel and method == "increment":
         v = list(game.ctuple.v)
-        sigma = [[s(i) for i in range(1, m + 1)] for s in game.ctuple.sigma]
+        sigma = [list(s.images) for s in game.ctuple.sigma]
         cand, eq = kernel.census_increment(m, v, sigma)
-        return CensusReport(m, method, [int(c) for c in cand], [int(e) for e in eq])
-    cand = [0] * (m + 1)
-    eq = [0] * (m + 1)
-    for candidate in enumerate_candidates(game):
-        l = candidate.face_class
-        cand[l] += 1
-        if _classify(game, candidate, method):
-            eq[l] += 1
-    report = CensusReport(m, method, cand, eq)
-    assert report.total_candidates == candidate_count(m)
-    assert all(
-        cand[l] == candidates_on_face_class(m, l) for l in range(m + 1)
-    ), "candidate counts per face class are off"
-    return report
+    else:
+        cand = [0] * (m + 1)
+        eq = [0] * (m + 1)
+        for candidate in enumerate_candidates(game):
+            l = candidate.face_class
+            cand[l] += 1
+            if _classify(game, candidate, method):
+                eq[l] += 1
+    expected = [candidates_on_face_class(m, l) for l in range(m + 1)]
+    if cand != expected:
+        raise RuntimeError(f"candidate counts per face class are {cand}, expected {expected}")
+    return CensusReport(m, method, cand, eq)
 
 
 def equilibria(

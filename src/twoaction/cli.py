@@ -208,7 +208,6 @@ def _solver_config(args) -> SolverConfig:
         starts_scale=args.starts,
         residual_tol=args.residual_tol,
         dedup_tol=args.dedup_tol,
-        seed=args.seed,
         threads=args.threads,
     )
 
@@ -269,6 +268,14 @@ def cmd_scan(args) -> int:
     return PASS if report.all_ok else FAIL
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoaction",
@@ -278,16 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_m=False):
         if needs_m:
-            p.add_argument("--m", type=int, required=True, help="number of players")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--m", type=positive_int, required=True, help="number of players")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
 
     def solver_flags(p):
         p.add_argument("--starts", type=int, default=50, help="starts per free dim doubling")
         p.add_argument("--residual-tol", type=float, default=1e-10)
         p.add_argument("--dedup-tol", type=float, default=1e-6)
+        p.add_argument("--threads", type=positive_int, default=1)
+
+    def trial_flags(p, default_trials):
+        p.add_argument("--trials", type=positive_int, default=default_trials)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("table", help="print !m, candidate totals and maximal counts")
     common(p, needs_m=True)
@@ -328,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     solver_flags(p)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--trials", type=int, default=20)
+    trial_flags(p, 20)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("scan", help="inequality scan over random generic games")
     common(p, needs_m=True)
     solver_flags(p)
-    p.add_argument("--trials", type=int, default=100)
+    trial_flags(p, 100)
     p.set_defaults(func=cmd_scan)
 
     return parser

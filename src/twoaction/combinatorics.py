@@ -126,7 +126,8 @@ def candidate_count_by_faces(m: int) -> int:
 def maximal_equilibrium_count(m: int) -> int:
     """Equilibrium count of a maximal product game: (candidate_count(m) + !m) / 2."""
     total = candidate_count(m) + subfactorial(m)
-    assert total % 2 == 0, "candidate count plus derangement count must be even"
+    if total % 2:
+        raise ArithmeticError(f"V({m}) + !{m} = {total} is odd")
     return total // 2
 
 

@@ -77,7 +77,6 @@ class SolverConfig:
     margin_tol: float = 1e-12
     near_degenerate_tol: float = 1e-8
     max_iter: int = 50
-    seed: int = 0
     threads: int = 1
 
 
@@ -358,7 +357,6 @@ def _config_dict(config: SolverConfig) -> dict:
         "margin_tol": config.margin_tol,
         "near_degenerate_tol": config.near_degenerate_tol,
         "max_iter": config.max_iter,
-        "seed": config.seed,
         "threads": config.threads,
     }
 
@@ -644,20 +642,20 @@ def scan_inequalities(
     recorded as a failure.  Inequality violations are always recorded, never
     dropped.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     even_failures = 0
     regenerations = 0
     histogram: dict[int, int] = {}
     for trial in range(trials):
-        report = None
         for attempt in range(max_retries + 1):
             game = random_generic_game(m, rng)
             report = solve_all(game, config)
             if report.total % 2 == 1:
                 break
             regenerations += 1
-        assert report is not None
         if report.total % 2 == 0:
             even_failures += 1
         histogram[report.total] = histogram.get(report.total, 0) + 1

@@ -1,4 +1,4 @@
-"""Pure-Python census kernel.
+"""Pure-Python census oracle for the kernel tests.
 
 Counts, per face class l, the equilibrium candidates and the equilibria of a
 product game given only its characteristic tuple.  The classification is the
@@ -6,8 +6,10 @@ increment computation: a candidate is an equilibrium iff every increment at a
 fixed point of its permutation vanishes.  No threshold values enter; the
 arithmetic is integers mod 2 throughout.
 
-The compiled twin in _census_cy.pyx implements the same loop; this module is
-the fallback and the reference for testing the extension.
+It walks every permutation and every boundary assignment literally, with none
+of the shortcuts of ``twoaction.kernel``, so it is the reference the NumPy
+kernel is tested against.  It lives in ``tests/`` because nothing in the
+library may fall back to it.
 """
 
 from __future__ import annotations

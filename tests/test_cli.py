@@ -160,3 +160,40 @@ class TestDeformScan:
         data = json.loads(capsys.readouterr().out)
         assert data["violations"] == []
         assert data["even_count_failures"] == 0
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--m", "0"],
+            ["table", "--m", "-2"],
+            ["scan", "--m", "0"],
+            ["scan", "--m", "2", "--trials", "0"],
+            ["deform", "game.json", "--trials", "0"],
+            ["scan", "--m", "2", "--threads", "0"],
+            ["solve", "game.json", "--threads", "0"],
+            ["deform", "game.json", "--threads", "-1"],
+        ],
+    )
+    def test_bad_values_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--m", "3", "--seed", "1"],
+            ["table", "--m", "3", "--threads", "2"],
+            ["classify", "game.json", "--seed", "1"],
+            ["candidates", "game.json", "--threads", "2"],
+            ["solve", "game.json", "--seed", "1"],
+        ],
+    )
+    def test_unused_knobs_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

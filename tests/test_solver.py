@@ -198,6 +198,14 @@ class TestRandomScan:
         assert sum(report.totals_histogram.values()) == 10
         assert all(total % 2 == 1 for total in report.totals_histogram)
 
+    def test_scan_rejects_negative_retries(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            scan_inequalities(2, trials=1, seed=0, config=FAST, max_retries=-1)
+
+    def test_config_has_no_seed(self):
+        # nothing in the solver is random, so the config carries no seed
+        assert "seed" not in solve_all(matching_pennies(), FAST).to_dict()["config"]
+
     def test_perturbed_game_count_is_odd(self):
         report = solve_all(perturb(maximal_game(3), 1e-4, seed=5), FAST)
         assert report.total % 2 == 1
