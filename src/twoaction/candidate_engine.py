@@ -160,12 +160,17 @@ def _classify(game, cand, method: Method) -> bool:
 
 @dataclass
 class CensusReport:
-    """Per-face-class candidate and equilibrium counts of one product game."""
+    """Per-face-class candidate and equilibrium counts of one product game.
+
+    ``counted_by`` is ``"kernel"`` when the census kernel counted, and
+    ``"streaming"`` when every candidate was enumerated and classified.
+    """
 
     m: int
     method: str
     candidates_per_class: list[int]
     equilibria_per_class: list[int]
+    counted_by: str
 
     @property
     def total_candidates(self) -> int:
@@ -187,6 +192,7 @@ class CensusReport:
         return {
             "m": self.m,
             "method": self.method,
+            "counted_by": self.counted_by,
             "per_l": [
                 {"l": l, "candidates": c, "equilibria": e}
                 for l, (c, e) in enumerate(
@@ -214,7 +220,8 @@ def census(
     m = game.m
     if use_kernel is None:
         use_kernel = method == "increment"
-    if use_kernel and method == "increment":
+    counted_by = "kernel" if use_kernel and method == "increment" else "streaming"
+    if counted_by == "kernel":
         v = list(game.ctuple.v)
         sigma = [list(s.images) for s in game.ctuple.sigma]
         cand, eq = kernel.census_increment(m, v, sigma)
@@ -229,7 +236,7 @@ def census(
     expected = [candidates_on_face_class(m, l) for l in range(m + 1)]
     if cand != expected:
         raise RuntimeError(f"candidate counts per face class are {cand}, expected {expected}")
-    return CensusReport(m, method, cand, eq)
+    return CensusReport(m, method, cand, eq, counted_by)
 
 
 def equilibria(

@@ -175,7 +175,10 @@ def cmd_classify(args) -> int:
         print(json.dumps(diff), file=sys.stderr)
         return FAIL
     data = report.to_dict()
-    lines = [f"m={report.m} method={report.method} kernel={kernel.KERNEL}"]
+    header = f"m={report.m} method={report.method} counted_by={report.counted_by}"
+    if report.counted_by == "kernel":
+        header += f" kernel={kernel.KERNEL}"
+    lines = [header]
     for row in data["per_l"]:
         lines.append(
             f"  l={row['l']}: candidates={row['candidates']} equilibria={row['equilibria']}"

@@ -81,26 +81,6 @@ def subfactorial(n: int) -> int:
     return value
 
 
-def subfactorial_pair_recursion(n: int) -> int:
-    """Subfactorial via !n = (n-1)(!(n-1) + !(n-2)); cross-check route."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1
-    prev2, prev1 = 1, 0
-    for k in range(2, n + 1):
-        prev2, prev1 = prev1, (k - 1) * (prev1 + prev2)
-    return prev1
-
-
-def subfactorial_alternating_sum(n: int) -> int:
-    """Subfactorial via the inclusion-exclusion closed form sum (-1)^j n!/j!."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    fact_n = math.factorial(n)
-    return sum((-1) ** j * fact_n // math.factorial(j) for j in range(n + 1))
-
-
 def candidate_count(m: int) -> int:
     """Total number of equilibrium candidates of a product game: sum of m!/l!."""
     if m < 1:
@@ -114,13 +94,6 @@ def candidates_on_face_class(m: int, l: int) -> int:
     if not 0 <= l <= m:
         raise ValueError(f"l must be in 0..{m}")
     return math.comb(m, l) * 2**l * subfactorial(m - l)
-
-
-def candidate_count_by_faces(m: int) -> int:
-    """Candidate total summed face class by face class; cross-check route."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return sum(candidates_on_face_class(m, l) for l in range(m + 1))
 
 
 def maximal_equilibrium_count(m: int) -> int:
@@ -176,18 +149,3 @@ def block_swap_permutation(m: int, i: int) -> Permutation:
     a = _send_to_end(m, i)
     b = _block_rotation(m, i)
     return a.inverse().compose(b).compose(a)
-
-
-def block_swap_images_closed_form(m: int, i: int) -> Permutation:
-    """Closed-form image sequence of block_swap_permutation; cross-check route."""
-    if not 1 <= i <= m:
-        raise ValueError(f"i must be in 1..{m}")
-    images = []
-    for j in range(1, m + 1):
-        if j < i:
-            images.append(m - i + j + chi(m - i + j, i))
-        elif j == i:
-            images.append(i)
-        else:
-            images.append(j - i + chi(j - i, i))
-    return Permutation(images)

@@ -13,7 +13,9 @@ games feed the numeric solver and perturbation experiments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -80,13 +82,15 @@ class TwoActionGame:
             raise ValueError("m must be positive")
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
-        utilities = [list(table) for table in utilities]
+        cast = Fraction if mode == EXACT else float
+        # re-casting an entry that already has the mode's type costs about as
+        # much as creating it, so such entries are kept as they are
+        utilities = [[u if type(u) is cast else cast(u) for u in t] for t in utilities]
         if len(utilities) != m or any(len(t) != 2**m for t in utilities):
             raise ValueError(f"need {m} tables of {2 ** m} entries each")
-        cast = Fraction if mode == EXACT else float
         self.m = m
         self.mode = mode
-        self.utilities = [[cast(u) for u in table] for table in utilities]
+        self.utilities = utilities
 
     def utility(self, i: int, bits: Sequence[int]):
         """Utility of player i at the pure profile given by its action bits."""
@@ -207,6 +211,8 @@ class CoefficientMatrix:
 
     For each j, the values a[i, j] over i != j are pairwise distinct; sorting
     them in descending order recovers the j-th associated permutation.
+    ``denominator`` is the lcm D of their denominators and ``numerators``
+    holds the integers a[i, j] * D, for exact integer arithmetic.
     """
 
     def __init__(self, m: int, values: Mapping[tuple[int, int], Fraction]):
@@ -227,6 +233,11 @@ class CoefficientMatrix:
             column = [self.values[(i, j)] for i in range(1, m + 1) if i != j]
             if len(set(column)) != len(column):
                 raise ValueError(f"coefficients a[.,{j}] are not pairwise distinct")
+        self.denominator = math.lcm(*(a.denominator for a in self.values.values()))
+        self.numerators = {
+            key: a.numerator * (self.denominator // a.denominator)
+            for key, a in self.values.items()
+        }
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.values[key]
@@ -278,6 +289,8 @@ class ProductTwoActionGame:
 
     For player i the payoff difference is
     (-1)^v_i * prod over j != i of (gamma_j - a[i,j]).
+    The payoff tensor is built on first read of ``tensor``; the increment
+    census reads only the characteristic tuple and never builds it.
     """
 
     def __init__(self, ctuple: CharacteristicTuple, coeffs: CoefficientMatrix):
@@ -292,41 +305,58 @@ class ProductTwoActionGame:
                 )
         self.ctuple = ctuple
         self.coeffs = coeffs
-        self.tensor = self._materialize()
 
     @property
     def m(self) -> int:
         return self.ctuple.m
 
-    def _materialize(self) -> TwoActionGame:
-        # U^i is 0 when player i plays action 0, and the factored payoff
-        # difference evaluated at the pure profile when they play action 1.
+    @cached_property
+    def tensor(self) -> TwoActionGame:
+        """The exact payoff tensor, in integers over one common denominator.
+
+        U^i is 0 when player i plays action 0, and the factored payoff
+        difference at the pure profile when they play action 1.  With
+        n[i,j] = a[i,j] * D, that value is
+        (-1)^v_i * prod_{j != i} (b_j * D - n[i,j]) / D^(m-1).
+        """
         m = self.m
-        sign = [(-1) ** b for b in self.ctuple.v]
+        scale = self.coeffs.denominator
+        denominator = scale ** (m - 1)
+        zero = Fraction(0)
         tables = []
         for i in range(1, m + 1):
-            table = []
-            for idx in range(2**m):
-                bits = profile_bits(idx, m)
-                if bits[i - 1] == 0:
-                    table.append(Fraction(0))
-                    continue
-                value = Fraction(sign[i - 1])
-                for j in range(1, m + 1):
-                    if j != i:
-                        value *= bits[j - 1] - self.coeffs[(i, j)]
-                table.append(value)
-            tables.append(table)
+            # running outer product over players 1..m, player 1 most
+            # significant; the factor of player i carries the sign
+            products = [1]
+            for j in range(1, m + 1):
+                if j == i:
+                    factors = (0, -1 if self.ctuple.v[i - 1] else 1)
+                else:
+                    n = self.coeffs.numerators[(i, j)]
+                    factors = (-n, scale - n)
+                products = [x * f for x in products for f in factors]
+            tables.append([Fraction(x, denominator) if x else zero for x in products])
         return TwoActionGame(m, tables, mode=EXACT)
 
     def lam_factored(self, i: int, gamma) -> Fraction:
-        """Exact payoff difference of player i from the factored form."""
+        """Exact payoff difference of player i from the factored form.
+
+        Evaluated from the coefficient values (never from the orderings) in
+        integers over the common denominator of gamma and a[i, .].
+        """
         gamma = _coerce_gamma(gamma)
-        value = Fraction((-1) ** self.ctuple.v[i - 1])
-        for j in range(1, self.m + 1):
-            if j != i:
-                value *= Fraction(gamma[j - 1]) - self.coeffs[(i, j)]
-        return value
+        others = [j for j in range(1, self.m + 1) if j != i]
+        coords = [gamma[j - 1] for j in others]
+        coords = [g if type(g) is Fraction else Fraction(g) for g in coords]
+        scale = self.coeffs.denominator
+        common = math.lcm(scale, *(g.denominator for g in coords))
+        value = -1 if self.ctuple.v[i - 1] else 1
+        for j, g in zip(others, coords):
+            value *= (
+                g.numerator * (common // g.denominator)
+                - self.coeffs.numerators[(i, j)] * (common // scale)
+            )
+        return Fraction(value, common ** len(others))
 
     def to_dict(self) -> dict:
         data = self.tensor.to_dict()

@@ -14,6 +14,11 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import (
+    candidate_count_by_faces,
+    subfactorial_alternating_sum,
+    subfactorial_pair_recursion,
+)
 from twoaction.candidate_engine import (
     _classify,
     census,
@@ -24,12 +29,9 @@ from twoaction.candidate_engine import (
 from twoaction.combinatorics import (
     Permutation,
     candidate_count,
-    candidate_count_by_faces,
     candidates_on_face_class,
     maximal_equilibrium_count,
     subfactorial,
-    subfactorial_alternating_sum,
-    subfactorial_pair_recursion,
 )
 from twoaction.game_model import (
     CharacteristicTuple,

@@ -179,10 +179,18 @@ class TestCensus:
             assert fast.equilibria_per_class == slow.equilibria_per_class
             assert both.equilibria_per_class == fast.equilibria_per_class
 
+    def test_counted_by(self):
+        game = maximal_game(3)
+        assert census(game, method="increment").counted_by == "kernel"
+        assert census(game, method="increment", use_kernel=False).counted_by == "streaming"
+        for method in ("sign", "both"):
+            assert census(game, method=method).counted_by == "streaming"
+
     def test_to_dict_shape(self):
         data = census(maximal_game(2)).to_dict()
         assert data["total_equilibria"] == 3
         assert data["matches_expected"] is True
+        assert data["counted_by"] == "streaming"
         assert [row["l"] for row in data["per_l"]] == [0, 1, 2]
 
     def test_identity_orderings_all_zero_signs(self):

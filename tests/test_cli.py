@@ -118,6 +118,23 @@ class TestConstructClassifySolve:
         assert main(["classify", str(game), "--expect-maximal"]) == 1
         assert "not_maximal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, counted_by",
+        [("increment", "kernel"), ("sign", "streaming"), ("both", "streaming")],
+    )
+    def test_classify_reports_what_counted(self, method, counted_by, tmp_path, capsys):
+        game = tmp_path / "g3.json"
+        assert main(["construct", "--m", "3", "--out", str(game)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(game), "--method", method]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith(f"m=3 method={method} counted_by={counted_by}")
+        assert ("kernel=numpy" in header) == (counted_by == "kernel")
+        assert main(["classify", str(game), "--method", method, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["counted_by"] == counted_by
+        assert [row["equilibria"] for row in data["per_l"]] == [2, 3, 0, 4]
+
     def test_solve_expect_total_failure(self, tmp_path, capsys):
         game = tmp_path / "g2.json"
         assert main(["construct", "--m", "2", "--out", str(game)]) == 0

@@ -2,20 +2,22 @@ import math
 
 import pytest
 
+from _oracles import (
+    block_swap_images_closed_form,
+    candidate_count_by_faces,
+    subfactorial_alternating_sum,
+    subfactorial_pair_recursion,
+)
 from twoaction.combinatorics import (
     Permutation,
-    block_swap_images_closed_form,
     block_swap_permutation,
     candidate_count,
-    candidate_count_by_faces,
     candidates_on_face_class,
     chi,
     enumerate_derangements,
     enumerate_permutations,
     maximal_equilibrium_count,
     subfactorial,
-    subfactorial_alternating_sum,
-    subfactorial_pair_recursion,
 )
 
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from twoaction.combinatorics import Permutation, block_swap_permutation
+from _oracles import materialize_per_entry
+from twoaction.candidate_engine import census
+from twoaction.combinatorics import (
+    Permutation,
+    block_swap_permutation,
+    maximal_equilibrium_count,
+)
 from twoaction.game_model import (
     EXACT,
     FLOAT,
@@ -225,6 +231,60 @@ class TestProductGame:
                     if j != i:
                         expected *= bits[j - 1] - game.coeffs[(i, j)]
                 assert game.tensor.lam_at_profile(i, gamma) == expected
+
+    def test_tensor_equals_per_entry_oracle(self, random_product_game):
+        rng = random.Random(13)
+        for _ in range(60):
+            game = random_product_game(rng.randint(1, 6), rng)
+            assert game.tensor.utilities == materialize_per_entry(game).utilities
+
+    def _mixed_denominator_game(self):
+        # D = lcm(3, 7, 11, 4, 5, 9) = 13860; columns pairwise distinct
+        values = {
+            (2, 1): F(1, 3),
+            (3, 1): F(2, 7),
+            (1, 2): F(5, 11),
+            (3, 2): F(3, 4),
+            (1, 3): F(1, 5),
+            (2, 3): F(7, 9),
+        }
+        coeffs = CoefficientMatrix(3, values)
+        sigma = tuple(coeffs.column_permutation(j) for j in (1, 2, 3))
+        return ProductTwoActionGame(CharacteristicTuple((1, 0, 1), sigma), coeffs)
+
+    def test_mixed_denominators_tensor(self):
+        game = self._mixed_denominator_game()
+        assert game.coeffs.denominator == 13860
+        assert game.tensor.utilities == materialize_per_entry(game).utilities
+        # player 1 at (1, 0, 1), v_1 = 1: -(0 - 5/11)(1 - 1/5) = 4/11
+        assert game.tensor.utility(1, (1, 0, 1)) == F(4, 11)
+
+    def test_lam_factored_off_the_common_denominator(self):
+        # profile denominators (13, 17) do not divide D = 13860
+        game = self._mixed_denominator_game()
+        rng = random.Random(17)
+        for _ in range(20):
+            gamma = [
+                F(rng.randint(1, 12), 13),
+                F(rng.randint(0, 17), 17),
+                F(rng.randint(1, 12), 13),
+            ]
+            for i in (1, 2, 3):
+                assert game.lam_factored(i, gamma) == game.tensor.lam_at_profile(i, gamma)
+
+    def test_increment_census_never_builds_the_tensor(self):
+        game = maximal_game(12)
+        assert "tensor" not in vars(game)
+        report = census(game, "increment")
+        assert report.total_equilibria == maximal_equilibrium_count(12)
+        assert "tensor" not in vars(game)
+
+    def test_tensor_is_built_once_on_first_read(self):
+        game = maximal_game(3)
+        assert "tensor" not in vars(game)
+        first = game.tensor
+        assert vars(game)["tensor"] is first
+        assert game.tensor is first
 
     def test_rejects_mismatched_coefficients(self):
         sigma = tuple(block_swap_permutation(3, i) for i in (1, 2, 3))
