@@ -19,7 +19,6 @@ from .combinatorics import (
 from .game_model import (
     CharacteristicTuple,
     CoefficientMatrix,
-    MixedProfile,
     ProductTwoActionGame,
     TwoActionGame,
     build_product_game,
@@ -34,12 +33,8 @@ from .candidate_engine import (
     EquilibriumCandidate,
     MethodDisagreement,
     census,
-    classify_by_increment,
-    classify_by_sign,
     enumerate_candidates,
     equilibria,
-    increment,
-    verify_block_swap_tables,
 )
 from .solver import (
     SolverConfig,

@@ -3,15 +3,19 @@
 Every candidate is indexed by a permutation pi of the players together with a
 0/1 boundary assignment on the fixed points of pi: non-fixed coordinates sit
 at the thresholds gamma_j = a[pi(j), j], fixed coordinates at the assigned
-boundary value.  Classification runs by two independent routes:
+boundary value.  Classification runs by two independent exact routes, each a
+table lookup per (permutation, player), evaluated in NumPy for every
+candidate of a block of permutations:
 
 * increment: integer arithmetic mod 2 over the characteristic tuple only,
-  never touching the threshold values;
-* sign: exact rational evaluation of the factored payoff differences,
-  never touching the increment formula.
+  through the table sigma_j(x); the threshold values never enter;
+* sign: the sign of each factored payoff difference as the product of the
+  signs of its factors, from a table built by comparing the integer
+  numerators of the thresholds; the orderings sigma never enter.
 
 Agreement of the two routes on every candidate is the engine's standing
-regression check.
+regression check.  The per-candidate versions of both routes live in the
+tests, as the reference the block routes are compared against.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
+import numpy as np
+
 from . import kernel
 from .combinatorics import (
     Permutation,
-    block_swap_permutation,
     candidates_on_face_class,
-    chi,
     enumerate_permutations,
     maximal_equilibrium_count,
 )
@@ -35,6 +39,11 @@ from .game_model import ProductTwoActionGame
 Method = Literal["increment", "sign", "both"]
 
 METHODS = ("increment", "sign", "both")
+
+# s! = 720 permutations per block.  Measured on census(maximal_game(7)):
+# 5040 per block ran as fast but raised the peak memory by 2 MB more, and
+# 120 per block took twice as long
+BLOCK_LEN = 6
 
 
 class MethodDisagreement(Exception):
@@ -104,58 +113,156 @@ def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCand
             yield candidate_for(game, pi, dict(zip(fixed, bits)))
 
 
-def increment(game: ProductTwoActionGame, cand: EquilibriumCandidate, i: int) -> int:
-    """The mod-2 increment of a candidate at a fixed point of its permutation.
+@dataclass(frozen=True)
+class CandidateBlock:
+    """The candidates of a block of permutations, in enumeration order.
 
-    Uses only the characteristic tuple and the boundary assignment; the
-    threshold values never enter.
+    Players and values are 0-based, and every array has one row per player.
+    ``perms[j, p]`` is the image of player j under the block's p-th
+    permutation.  Candidate n belongs to permutation ``owner[n]``;
+    ``fixed[i, n]`` says whether player i is a fixed point of it, and
+    ``bits[i, n]`` is the boundary value there (0 at moved players).
     """
-    gamma_i = cand.boundary_value(i)  # raises if i is not a fixed point
-    zeros_excl_self = cand.zero_count() - (1 if gamma_i == 0 else 0)
-    sigma = game.ctuple.sigma
-    total = 1 + gamma_i + game.ctuple.v[i - 1] + zeros_excl_self
-    for j in range(1, game.m + 1):
-        if cand.pi(j) != j:
-            s = sigma[j - 1]
-            total += chi(s(cand.pi(j)), s(i))
-    return total % 2
+
+    perms: np.ndarray
+    owner: np.ndarray
+    fixed: np.ndarray
+    bits: np.ndarray
+
+    @classmethod
+    def of(cls, perms: np.ndarray) -> "CandidateBlock":
+        fixed = perms == np.arange(len(perms))[:, None]
+        k = fixed.sum(axis=0)
+        counts = np.int64(1) << k
+        owner = np.repeat(np.arange(perms.shape[1]), counts)
+        # the index of a candidate among its permutation's 2^k, whose bits are
+        # the boundary values, the first fixed point most significant
+        assignment = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+        shift = (k - np.cumsum(fixed, axis=0))[:, owner]
+        fixed = fixed[:, owner]
+        bits = ((assignment >> shift) & fixed).astype(np.int8)
+        return cls(perms, owner, fixed, bits)
+
+    @property
+    def face_class(self) -> np.ndarray:
+        return self.fixed.sum(axis=0)
+
+    def candidate(self, game: ProductTwoActionGame, n: int) -> EquilibriumCandidate:
+        pi = Permutation((self.perms[:, self.owner[n]] + 1).tolist())
+        values = {int(i) + 1: int(self.bits[i, n]) for i in np.flatnonzero(self.fixed[:, n])}
+        return candidate_for(game, pi, values)
 
 
-def classify_by_increment(game: ProductTwoActionGame, cand: EquilibriumCandidate) -> bool:
-    """True iff the candidate is an equilibrium, by the increment criterion."""
-    if cand.face_class == 0:
-        return True
-    return all(increment(game, cand, i) == 0 for i, _ in cand.boundary)
+def permutation_blocks(m: int) -> Iterator[np.ndarray]:
+    """All permutations of range(m) in lexicographic order, in blocks.
 
-
-def classify_by_sign(game: ProductTwoActionGame, cand: EquilibriumCandidate) -> bool:
-    """True iff the candidate is an equilibrium, by exact sign evaluation.
-
-    For every boundary player the factored payoff difference must point
-    toward the chosen action: positive at value 1, negative at value 0.
-    Interior players are indifferent by construction.
+    A block is an (m, s!) array whose columns are permutations.  They share
+    their first m - s images, s = min(m, BLOCK_LEN), and order the rest in
+    all s! ways.
     """
-    for i, value in cand.boundary:
-        lam = game.lam_factored(i, cand.gamma)
-        if value == 1 and lam <= 0:
-            return False
-        if value == 0 and lam >= 0:
-            return False
-    return True
+    s = min(m, BLOCK_LEN)
+    orders = kernel.suffix_orders(s)
+    for prefix in itertools.permutations(range(m), m - s):
+        rest = np.array(sorted(set(range(m)) - set(prefix)), dtype=np.int8)
+        perms = np.empty((m, orders.shape[1]), dtype=np.int8)
+        perms[: m - s] = np.array(prefix, dtype=np.int8)[:, None]
+        perms[m - s :] = rest[orders]
+        yield perms
 
 
-def _classify(game, cand, method: Method) -> bool:
-    if method == "increment":
-        return classify_by_increment(game, cand)
-    if method == "sign":
-        return classify_by_sign(game, cand)
-    if method == "both":
-        by_inc = classify_by_increment(game, cand)
-        by_sign = classify_by_sign(game, cand)
-        if by_inc != by_sign:
-            raise MethodDisagreement(cand, by_inc, by_sign)
-        return by_inc
-    raise ValueError(f"unknown method {method!r}")
+def increment_table(game: ProductTwoActionGame) -> np.ndarray:
+    """``S[j, x] = sigma_j(x)`` for 0-based j and x: the orderings as an int array."""
+    return np.array([s.images for s in game.ctuple.sigma], dtype=np.int64)
+
+
+def sign_table(game: ProductTwoActionGame) -> np.ndarray:
+    """``T[j, i, x]``, the sign of the factor of player j in player i's payoff difference.
+
+    The factor is ``gamma_j - a[i, j]``, where gamma_j is a[x, j] for a code
+    x < m (j moved to x) and the boundary value 0 or 1 for x = m or m + 1.
+    Its sign comes from comparing integer numerators over the common
+    denominator D, so no Fraction is built and nothing can overflow.  The
+    diagonal ``T[i, i, :]`` holds (-1)^v_i, so that the product over every j
+    of ``T[j, i, code_j]`` is the sign of player i's payoff difference.
+    """
+    m = game.m
+    numerators = game.coeffs.numerators
+    table = np.zeros((m, m, m + 2), dtype=np.int8)
+    for j in range(1, m + 1):
+        values = [numerators[(x, j)] if x != j else None for x in range(1, m + 1)]
+        values += [0, game.coeffs.denominator]
+        for i in range(1, m + 1):
+            if i == j:
+                table[j - 1, i - 1] = -1 if game.ctuple.v[i - 1] else 1
+                continue
+            n = numerators[(i, j)]
+            table[j - 1, i - 1] = [0 if g is None else (g > n) - (g < n) for g in values]
+    return table
+
+
+def classify_by_increment(table: np.ndarray, v: np.ndarray, block: CandidateBlock) -> np.ndarray:
+    """Per candidate, True iff it is an equilibrium by the increment criterion.
+
+    ``table`` is ``increment_table`` and ``v`` the sign vector; the threshold
+    values never enter.  At every fixed point i the increment
+    ``1 + b_i + v_i + zeros_excl_self + c_i`` must be even, where
+    ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.
+    """
+    perms = block.perms
+    c = np.zeros(perms.shape, dtype=np.int8)  # c[i, p]
+    for j, (row, images) in enumerate(zip(table, perms)):
+        c += (row[images] >= row[:, None]) & (images != j)
+    zero = block.fixed & (block.bits == 0)
+    zeros_excl_self = zero.sum(axis=0, dtype=np.int8) - zero
+    odd = (1 + block.bits + v[:, None] + zeros_excl_self + c[:, block.owner]) & 1
+    return ~(block.fixed & (odd == 1)).any(axis=0)
+
+
+def classify_by_sign(table: np.ndarray, block: CandidateBlock) -> np.ndarray:
+    """Per candidate, True iff it is an equilibrium by exact sign evaluation.
+
+    ``table`` is ``sign_table``.  Every boundary player's payoff difference
+    must point toward the chosen action: positive at value 1, negative at
+    value 0.  Interior players are indifferent by construction.
+    """
+    m = len(table)
+    codes = np.where(block.fixed, m + block.bits, block.perms[:, block.owner])
+    signs = np.ones(codes.shape, dtype=np.int8)  # signs[i, n]
+    for factor, code in zip(table, codes):
+        signs *= factor[:, code]
+    return ~(block.fixed & (signs != 2 * block.bits - 1)).any(axis=0)
+
+
+def classified_blocks(
+    game: ProductTwoActionGame, method: Method
+) -> Iterator[tuple[CandidateBlock, np.ndarray]]:
+    """Every candidate block with its equilibrium mask, in enumeration order.
+
+    With ``method="both"`` both routes classify every candidate, and the
+    first candidate on which they differ raises ``MethodDisagreement``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "sign":
+        inc_table = increment_table(game)
+        v = np.array(game.ctuple.v, dtype=np.int8)
+    if method != "increment":
+        sgn_table = sign_table(game)
+    for perms in permutation_blocks(game.m):
+        block = CandidateBlock.of(perms)
+        if method == "sign":
+            yield block, classify_by_sign(sgn_table, block)
+            continue
+        by_inc = classify_by_increment(inc_table, v, block)
+        if method == "both":
+            by_sign = classify_by_sign(sgn_table, block)
+            mismatch = np.flatnonzero(by_inc != by_sign)
+            if mismatch.size:
+                n = mismatch[0]
+                raise MethodDisagreement(
+                    block.candidate(game, n), bool(by_inc[n]), bool(by_sign[n])
+                )
+        yield block, by_inc
 
 
 @dataclass
@@ -212,10 +319,13 @@ def census(
     """Count candidates and equilibria per face class.
 
     With ``method="increment"`` the census kernel counts them from the
-    characteristic tuple (set ``use_kernel=False`` to stream every candidate
-    instead); the other methods always stream, since the sign route needs the
-    exact coordinates.  Raises ``RuntimeError`` if the candidate counts per
-    face class differ from ``candidates_on_face_class``.
+    characteristic tuple (set ``use_kernel=False`` to classify every
+    candidate instead); the other methods always classify every candidate,
+    since the sign route reads the threshold values, which the kernel never
+    sees.  Raises
+    ``MethodDisagreement`` if the routes of ``method="both"`` differ on a
+    candidate, and ``RuntimeError`` if the candidate counts per face class
+    differ from ``candidates_on_face_class``.
     """
     m = game.m
     if use_kernel is None:
@@ -226,13 +336,13 @@ def census(
         sigma = [list(s.images) for s in game.ctuple.sigma]
         cand, eq = kernel.census_increment(m, v, sigma)
     else:
-        cand = [0] * (m + 1)
-        eq = [0] * (m + 1)
-        for candidate in enumerate_candidates(game):
-            l = candidate.face_class
-            cand[l] += 1
-            if _classify(game, candidate, method):
-                eq[l] += 1
+        cand_counts = np.zeros(m + 1, dtype=np.int64)
+        eq_counts = np.zeros(m + 1, dtype=np.int64)
+        for block, ok in classified_blocks(game, method):
+            face_class = block.face_class
+            cand_counts += np.bincount(face_class, minlength=m + 1)
+            eq_counts += np.bincount(face_class[ok], minlength=m + 1)
+        cand, eq = cand_counts.tolist(), eq_counts.tolist()
     expected = [candidates_on_face_class(m, l) for l in range(m + 1)]
     if cand != expected:
         raise RuntimeError(f"candidate counts per face class are {cand}, expected {expected}")
@@ -243,79 +353,8 @@ def equilibria(
     game: ProductTwoActionGame, method: Method = "both"
 ) -> list[EquilibriumCandidate]:
     """All candidates classified as equilibria, in enumeration order."""
-    return [c for c in enumerate_candidates(game) if _classify(game, c, method)]
-
-
-# -- exhaustive verification of the block-swap comparison tables -------------
-
-
-@dataclass
-class TableCheckResult:
-    ok: bool
-    counterexample: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _four_case_expected(i: int, j: int, pj: int) -> int:
-    if j < i:
-        return 1 if (pj < j or pj > i) else 0
-    return 1 if i < pj < j else 0
-
-
-def _nine_case_expected(i1: int, i2: int, j: int, pj: int) -> tuple[int, int]:
-    if j < i1:
-        if pj < j or pj > i2:
-            return (1, 1)
-        if j < pj < i1:
-            return (0, 0)
-        return (1, 0)  # i1 < pj < i2
-    if j > i2:
-        if pj < i1 or pj > j:
-            return (0, 0)
-        if i2 < pj < j:
-            return (1, 1)
-        return (1, 0)  # i1 < pj < i2
-    # i1 < j < i2
-    if i1 < pj < j:
-        return (1, 1)
-    if j < pj < i2:
-        return (0, 0)
-    return (0, 1)  # pj < i1 or pj > i2
-
-
-def verify_block_swap_tables(m: int) -> TableCheckResult:
-    """Exhaustively check the case tables governing the block-swap orderings.
-
-    For every permutation with fixed points, every fixed point i and every
-    moved position j, the comparison of the block-swap images of pi(j) and i
-    must match the four-case prediction; for pairs of fixed points the
-    nine-case table must hold, and the cases contributing differently to the
-    two increments must pair up evenly.
-    """
-    swaps = {j: block_swap_permutation(m, j) for j in range(1, m + 1)}
-    for pi in enumerate_permutations(m):
-        fixed = pi.fixed_points()
-        if not fixed:
-            continue
-        moved = [j for j in range(1, m + 1) if pi(j) != j]
-        for i in fixed:
-            for j in moved:
-                d = swaps[j]
-                actual = chi(d(pi(j)), d(i))
-                if actual != _four_case_expected(i, j, pi(j)):
-                    return TableCheckResult(False, (pi, i, j, "four-case"))
-        for i1, i2 in itertools.combinations(fixed, 2):
-            unbalanced = 0
-            for j in moved:
-                d = swaps[j]
-                actual = (chi(d(pi(j)), d(i1)), chi(d(pi(j)), d(i2)))
-                expected = _nine_case_expected(i1, i2, j, pi(j))
-                if actual != expected:
-                    return TableCheckResult(False, (pi, i1, i2, j, "nine-case"))
-                if actual[0] != actual[1]:
-                    unbalanced += 1
-            if unbalanced % 2 != 0:
-                return TableCheckResult(False, (pi, i1, i2, "odd unbalanced count"))
-    return TableCheckResult(True)
+    return [
+        block.candidate(game, n)
+        for block, ok in classified_blocks(game, method)
+        for n in np.flatnonzero(ok)
+    ]

@@ -27,41 +27,6 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class MixedProfile:
-    """A point of [0,1]^m with an arithmetic-mode tag."""
-
-    gamma: tuple
-    mode: str = EXACT
-
-    def __post_init__(self):
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for g in self.gamma:
-            if not 0 <= g <= 1:
-                raise ValueError(f"coordinate {g} outside [0,1]")
-
-    def __len__(self) -> int:
-        return len(self.gamma)
-
-    def zero_set(self) -> tuple[int, ...]:
-        """Players with coordinate exactly 0 (1-based)."""
-        return tuple(i for i, g in enumerate(self.gamma, start=1) if g == 0)
-
-    def one_set(self) -> tuple[int, ...]:
-        """Players with coordinate exactly 1 (1-based)."""
-        return tuple(i for i, g in enumerate(self.gamma, start=1) if g == 1)
-
-    def boundary_set(self) -> tuple[int, ...]:
-        return tuple(i for i, g in enumerate(self.gamma, start=1) if g in (0, 1))
-
-
-def _coerce_gamma(gamma) -> tuple:
-    if isinstance(gamma, MixedProfile):
-        return gamma.gamma
-    return tuple(gamma)
-
-
 def profile_index(bits: Sequence[int]) -> int:
     """Lexicographic index of a pure profile, player 1 most significant."""
     idx = 0
@@ -98,7 +63,7 @@ class TwoActionGame:
 
     def payoff(self, i: int, gamma) -> "Fraction | float":
         """Expected utility of player i at a mixed profile (multilinear extension)."""
-        gamma = _coerce_gamma(gamma)
+        gamma = tuple(gamma)
         if len(gamma) != self.m:
             raise ValueError(f"profile has {len(gamma)} coordinates, need {self.m}")
         table = self.utilities[i - 1]
@@ -120,7 +85,7 @@ class TwoActionGame:
         ``gamma_minus_i`` holds the m-1 coordinates of the other players in
         increasing player order.
         """
-        gamma_minus_i = _coerce_gamma(gamma_minus_i)
+        gamma_minus_i = tuple(gamma_minus_i)
         if len(gamma_minus_i) != self.m - 1:
             raise ValueError(
                 f"opponent profile has {len(gamma_minus_i)} coordinates, need {self.m - 1}"
@@ -147,7 +112,6 @@ class TwoActionGame:
 
     def lam_at_profile(self, i: int, gamma) -> "Fraction | float":
         """lam with the full m-coordinate profile supplied (coordinate i ignored)."""
-        gamma = _coerce_gamma(gamma)
         return self.lam(i, tuple(g for k, g in enumerate(gamma, start=1) if k != i))
 
     def as_float(self) -> "TwoActionGame":
@@ -344,7 +308,7 @@ class ProductTwoActionGame:
         Evaluated from the coefficient values (never from the orderings) in
         integers over the common denominator of gamma and a[i, .].
         """
-        gamma = _coerce_gamma(gamma)
+        gamma = tuple(gamma)
         others = [j for j in range(1, self.m + 1) if j != i]
         coords = [gamma[j - 1] for j in others]
         coords = [g if type(g) is Fraction else Fraction(g) for g in coords]

@@ -36,7 +36,7 @@ SUFFIX_LEN = 7  # s! = 5040 rows per vector operation
 
 
 @functools.cache
-def _suffix_orders(s: int) -> np.ndarray:
+def suffix_orders(s: int) -> np.ndarray:
     """All s! orderings of range(s): row c holds the value at position c."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(s)))
     return np.fromiter(flat, dtype=np.int8, count=s * math.factorial(s)).reshape(-1, s).T.copy()
@@ -60,7 +60,7 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     rows = table.tolist()
     x0 = sum(1 << i for i in range(m) if not v[i])
 
-    orders = _suffix_orders(s)
+    orders = suffix_orders(s)
     perms = np.zeros(m + 1, dtype=np.int64)  # permutations per fixed-point count
     passing = np.zeros(m + 1, dtype=np.int64)
     for rest in itertools.combinations(range(m), s):

@@ -4,14 +4,28 @@ Nothing in the library uses these; the tests compare the library against
 them.  The counting routes use other formulas than ``combinatorics``, and
 ``materialize_per_entry`` builds a product game's payoff tensor one entry at
 a time in Fraction arithmetic, where ``ProductTwoActionGame.tensor`` works in
-integers over one common denominator.
+integers over one common denominator.  ``increment``,
+``classify_by_increment`` and ``classify_by_sign`` classify one candidate
+object at a time, the sign route through the ``Fraction`` value of
+``lam_factored``; the library classifies whole blocks of candidates through
+integer tables.  ``verify_block_swap_tables`` checks the case tables behind
+the maximal game's orderings.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from twoaction.combinatorics import Permutation, candidates_on_face_class, chi
-from twoaction.game_model import EXACT, TwoActionGame, profile_bits
+from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement
+from twoaction.combinatorics import (
+    Permutation,
+    block_swap_permutation,
+    candidates_on_face_class,
+    chi,
+    enumerate_permutations,
+)
+from twoaction.game_model import EXACT, ProductTwoActionGame, TwoActionGame, profile_bits
 
 
 def subfactorial_pair_recursion(n: int) -> int:
@@ -77,3 +91,130 @@ def materialize_per_entry(game) -> TwoActionGame:
             table.append(value)
         tables.append(table)
     return TwoActionGame(m, tables, mode=EXACT)
+
+
+def increment(game: ProductTwoActionGame, cand: EquilibriumCandidate, i: int) -> int:
+    """The mod-2 increment of a candidate at a fixed point of its permutation.
+
+    Uses only the characteristic tuple and the boundary assignment; the
+    threshold values never enter.
+    """
+    gamma_i = cand.boundary_value(i)  # raises if i is not a fixed point
+    zeros_excl_self = cand.zero_count() - (1 if gamma_i == 0 else 0)
+    sigma = game.ctuple.sigma
+    total = 1 + gamma_i + game.ctuple.v[i - 1] + zeros_excl_self
+    for j in range(1, game.m + 1):
+        if cand.pi(j) != j:
+            s = sigma[j - 1]
+            total += chi(s(cand.pi(j)), s(i))
+    return total % 2
+
+
+def classify_by_increment(game: ProductTwoActionGame, cand: EquilibriumCandidate) -> bool:
+    """True iff the candidate is an equilibrium, by the increment criterion."""
+    if cand.face_class == 0:
+        return True
+    return all(increment(game, cand, i) == 0 for i, _ in cand.boundary)
+
+
+def classify_by_sign(game: ProductTwoActionGame, cand: EquilibriumCandidate) -> bool:
+    """True iff the candidate is an equilibrium, by exact sign evaluation.
+
+    For every boundary player the factored payoff difference must point
+    toward the chosen action: positive at value 1, negative at value 0.
+    Interior players are indifferent by construction.
+    """
+    for i, value in cand.boundary:
+        lam = game.lam_factored(i, cand.gamma)
+        if value == 1 and lam <= 0:
+            return False
+        if value == 0 and lam >= 0:
+            return False
+    return True
+
+
+def classify(game, cand, method: str) -> bool:
+    """One candidate by ``method``; raises ``MethodDisagreement`` when ``both`` differ."""
+    if method == "increment":
+        return classify_by_increment(game, cand)
+    if method == "sign":
+        return classify_by_sign(game, cand)
+    if method == "both":
+        by_inc = classify_by_increment(game, cand)
+        by_sign = classify_by_sign(game, cand)
+        if by_inc != by_sign:
+            raise MethodDisagreement(cand, by_inc, by_sign)
+        return by_inc
+    raise ValueError(f"unknown method {method!r}")
+
+
+@dataclass
+class TableCheckResult:
+    ok: bool
+    counterexample: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _four_case_expected(i: int, j: int, pj: int) -> int:
+    if j < i:
+        return 1 if (pj < j or pj > i) else 0
+    return 1 if i < pj < j else 0
+
+
+def _nine_case_expected(i1: int, i2: int, j: int, pj: int) -> tuple[int, int]:
+    if j < i1:
+        if pj < j or pj > i2:
+            return (1, 1)
+        if j < pj < i1:
+            return (0, 0)
+        return (1, 0)  # i1 < pj < i2
+    if j > i2:
+        if pj < i1 or pj > j:
+            return (0, 0)
+        if i2 < pj < j:
+            return (1, 1)
+        return (1, 0)  # i1 < pj < i2
+    # i1 < j < i2
+    if i1 < pj < j:
+        return (1, 1)
+    if j < pj < i2:
+        return (0, 0)
+    return (0, 1)  # pj < i1 or pj > i2
+
+
+def verify_block_swap_tables(m: int) -> TableCheckResult:
+    """Exhaustively check the case tables governing the block-swap orderings.
+
+    For every permutation with fixed points, every fixed point i and every
+    moved position j, the comparison of the block-swap images of pi(j) and i
+    must match the four-case prediction; for pairs of fixed points the
+    nine-case table must hold, and the cases contributing differently to the
+    two increments must pair up evenly.
+    """
+    swaps = {j: block_swap_permutation(m, j) for j in range(1, m + 1)}
+    for pi in enumerate_permutations(m):
+        fixed = pi.fixed_points()
+        if not fixed:
+            continue
+        moved = [j for j in range(1, m + 1) if pi(j) != j]
+        for i in fixed:
+            for j in moved:
+                d = swaps[j]
+                actual = chi(d(pi(j)), d(i))
+                if actual != _four_case_expected(i, j, pi(j)):
+                    return TableCheckResult(False, (pi, i, j, "four-case"))
+        for i1, i2 in itertools.combinations(fixed, 2):
+            unbalanced = 0
+            for j in moved:
+                d = swaps[j]
+                actual = (chi(d(pi(j)), d(i1)), chi(d(pi(j)), d(i2)))
+                expected = _nine_case_expected(i1, i2, j, pi(j))
+                if actual != expected:
+                    return TableCheckResult(False, (pi, i1, i2, j, "nine-case"))
+                if actual[0] != actual[1]:
+                    unbalanced += 1
+            if unbalanced % 2 != 0:
+                return TableCheckResult(False, (pi, i1, i2, "odd unbalanced count"))
+    return TableCheckResult(True)

@@ -16,15 +16,15 @@ import pytest
 
 from _oracles import (
     candidate_count_by_faces,
+    classify,
     subfactorial_alternating_sum,
     subfactorial_pair_recursion,
+    verify_block_swap_tables,
 )
 from twoaction.candidate_engine import (
-    _classify,
     census,
     enumerate_candidates,
     equilibria,
-    verify_block_swap_tables,
 )
 from twoaction.combinatorics import (
     Permutation,
@@ -242,7 +242,7 @@ def test_criterion_6_structural_invariants():
                 for cand in enumerate_candidates(game):
                     entry = by_pi.setdefault(cand.pi.images, [0, 0])
                     entry[0] += 1
-                    if _classify(game, cand, "both"):
+                    if classify(game, cand, "both"):
                         entry[1] += 1
                 for images, (total, eq) in by_pi.items():
                     l = len(Permutation(images).fixed_points())

@@ -2,19 +2,24 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twoaction.candidate_engine import (
-    MethodDisagreement,
-    _classify,
-    candidate_for,
-    census,
+from _oracles import (
+    classify,
     classify_by_increment,
     classify_by_sign,
-    enumerate_candidates,
-    equilibria,
     increment,
     verify_block_swap_tables,
+)
+from twoaction import candidate_engine, kernel
+from twoaction.candidate_engine import (
+    CandidateBlock,
+    MethodDisagreement,
+    candidate_for,
+    census,
+    enumerate_candidates,
+    equilibria,
 )
 from twoaction.combinatorics import (
     Permutation,
@@ -25,6 +30,8 @@ from twoaction.combinatorics import (
 )
 from twoaction.game_model import (
     CharacteristicTuple,
+    CoefficientMatrix,
+    ProductTwoActionGame,
     build_product_game,
     maximal_game,
 )
@@ -135,13 +142,30 @@ class TestClassification:
             game = random_product_game(rng.randint(1, 4), rng)
             _ = census(game, method="both")  # raises MethodDisagreement on mismatch
 
-    def test_disagreement_is_raised(self):
+    def test_disagreement_is_raised(self, monkeypatch):
         game = maximal_game(2)
         cand = next(enumerate_candidates(game))
         with pytest.raises(MethodDisagreement):
             raise MethodDisagreement(cand, True, False)
         with pytest.raises(ValueError):
-            _classify(game, cand, "majority-vote")
+            classify(game, cand, "majority-vote")
+        with pytest.raises(ValueError):
+            census(game, "majority-vote")
+        # flip one entry of the sign table: the factor of player 1 in player
+        # 3's payoff difference when pi(1) = 2.  Only pi = [2, 1, 3] reads it,
+        # so its two candidates flip; the first, {3: 0}, is an equilibrium.
+        monkeypatch.setattr(candidate_engine, "sign_table", _flipped_sign_table)
+        game = maximal_game(3)
+        with pytest.raises(MethodDisagreement) as info:
+            census(game, "both")
+        exc = info.value
+        assert exc.candidate == candidate_for(game, Permutation([2, 1, 3]), {3: 0})
+        assert (exc.by_increment, exc.by_sign) == (True, False)
+        assert "pi=[2, 1, 3] boundary=((3, 0),)" in str(exc)
+        with pytest.raises(MethodDisagreement):
+            equilibria(game)
+        assert census(game, "increment", use_kernel=False).total_equilibria == 9
+        assert census(game, "sign").total_equilibria == 9  # the two trade places
 
     def test_sign_route_from_first_principles(self):
         # classify_by_sign must match a direct best-response check against the
@@ -153,6 +177,91 @@ class TestClassification:
                 lam = game.tensor.lam_at_profile(i, cand.gamma)
                 ok &= lam > 0 if value == 1 else lam < 0
             assert classify_by_sign(game, cand) == ok
+
+
+_real_sign_table = candidate_engine.sign_table
+
+
+def _flipped_sign_table(game):
+    table = _real_sign_table(game)
+    table[0, 2, 1] *= -1
+    return table
+
+
+def _block_masks(game):
+    """Keys and both routes' masks of the block classifier, in enumeration order."""
+    inc_table = candidate_engine.increment_table(game)
+    v = np.array(game.ctuple.v)
+    sign_table = candidate_engine.sign_table(game)
+    keys, by_inc, by_sign = [], [], []
+    for perms in candidate_engine.permutation_blocks(game.m):
+        block = CandidateBlock.of(perms)
+        for n in range(len(block.owner)):
+            fixed = np.flatnonzero(block.fixed[:, n])
+            boundary = tuple((int(i) + 1, int(block.bits[i, n])) for i in fixed)
+            keys.append((tuple(int(x) + 1 for x in block.perms[:, block.owner[n]]), boundary))
+        by_inc += candidate_engine.classify_by_increment(inc_table, v, block).tolist()
+        by_sign += candidate_engine.classify_by_sign(sign_table, block).tolist()
+    return keys, by_inc, by_sign
+
+
+def _assert_routes_match_oracles(game):
+    keys, by_inc, by_sign = _block_masks(game)
+    cands = list(enumerate_candidates(game))
+    assert keys == [(c.pi.images, c.boundary) for c in cands]
+    assert by_inc == [classify_by_increment(game, c) for c in cands]
+    assert by_sign == [classify_by_sign(game, c) for c in cands]
+
+
+def _huge_denominator_game():
+    # thresholds a few units apart around 1/2 over distinct large primes, so
+    # the common denominator exceeds 2^64 and every comparison is close
+    primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**31 - 1, 1_000_000_007]
+    m = 4
+    rng = random.Random(64)
+    values = {}
+    for j in range(1, m + 1):
+        for i in range(1, m + 1):
+            if i != j:
+                p = rng.choice(primes)
+                values[(i, j)] = F(p // 2 + rng.randint(-3, 3), p)
+    coeffs = CoefficientMatrix(m, values)
+    sigma = tuple(coeffs.column_permutation(j) for j in range(1, m + 1))
+    return ProductTwoActionGame(CharacteristicTuple((0, 1, 1, 0), sigma), coeffs)
+
+
+class TestBlockClassifier:
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_routes_match_oracles_on_maximal_games(self, m):
+        _assert_routes_match_oracles(maximal_game(m))
+
+    def test_routes_match_oracles_on_random_tuples(self, random_product_game):
+        rng = random.Random(606)
+        for _ in range(120):
+            _assert_routes_match_oracles(random_product_game(rng.randint(1, 6), rng))
+
+    def test_routes_match_oracles_beyond_64_bits(self):
+        game = _huge_denominator_game()
+        assert game.coeffs.denominator > 2**64
+        _assert_routes_match_oracles(game)
+        assert census(game, "both").total_equilibria % 2 == 1
+
+    def test_blocks_walk_permutations_in_order(self):
+        for m in (1, 3, 8):
+            blocks = list(candidate_engine.permutation_blocks(m))
+            assert all(b.shape[1] <= 5040 for b in blocks)
+            perms = np.concatenate(blocks, axis=1).T.tolist()
+            assert [tuple(p) for p in perms] == list(itertools.permutations(range(m)))
+
+    @pytest.mark.parametrize("method", ["increment", "sign", "both"])
+    def test_equilibria_match_oracle_filter(self, method, random_product_game):
+        rng = random.Random(31)
+        games = [maximal_game(m) for m in range(1, 5)]
+        games += [random_product_game(rng.randint(1, 5), rng) for _ in range(10)]
+        games.append(_huge_denominator_game())
+        for game in games:
+            expected = [c for c in enumerate_candidates(game) if classify(game, c, method)]
+            assert equilibria(game, method) == expected
 
 
 class TestCensus:
@@ -178,6 +287,27 @@ class TestCensus:
             assert fast.candidates_per_class == slow.candidates_per_class
             assert fast.equilibria_per_class == slow.equilibria_per_class
             assert both.equilibria_per_class == fast.equilibria_per_class
+
+    def test_maximal_m8_every_candidate(self):
+        m = 8
+        report = census(maximal_game(m), "both")
+        assert report.total_candidates == candidate_count(m) == 109_601
+        assert report.equilibria_per_class == [subfactorial(m)] + [
+            candidates_on_face_class(m, l) // 2 for l in range(1, m + 1)
+        ]
+        assert report.counted_by == "streaming"
+
+    def test_streaming_increment_equals_kernel_m8(self, random_characteristic_tuple):
+        rng = random.Random(88)
+        for _ in range(3):
+            ctuple = random_characteristic_tuple(8, rng)
+            game = build_product_game(ctuple)
+            streamed = census(game, "increment", use_kernel=False)
+            sigma = [list(s.images) for s in ctuple.sigma]
+            assert kernel.census_increment(8, list(ctuple.v), sigma) == (
+                streamed.candidates_per_class,
+                streamed.equilibria_per_class,
+            )
 
     def test_counted_by(self):
         game = maximal_game(3)
@@ -245,7 +375,7 @@ class TestStructuralInvariants:
                 key = cand.pi.images
                 by_pi.setdefault(key, [0, 0])
                 by_pi[key][0] += 1
-                if _classify(game, cand, "both"):
+                if classify(game, cand, "both"):
                     by_pi[key][1] += 1
             for key, (total, eq) in by_pi.items():
                 l = total.bit_length() - 1  # total = 2^l
@@ -276,7 +406,7 @@ def _per_permutation_counts(game):
     counts = {}
     for cand in enumerate_candidates(game):
         counts.setdefault(cand.pi.images, 0)
-        if _classify(game, cand, "both"):
+        if classify(game, cand, "both"):
             counts[cand.pi.images] += 1
     return counts
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twoaction import candidate_engine
 from twoaction.cli import main, parse_permutation
 from twoaction.combinatorics import Permutation
 
@@ -134,6 +135,31 @@ class TestConstructClassifySolve:
         data = json.loads(capsys.readouterr().out)
         assert data["counted_by"] == counted_by
         assert [row["equilibria"] for row in data["per_l"]] == [2, 3, 0, 4]
+
+    def test_classify_reports_method_disagreement(self, tmp_path, capsys, monkeypatch):
+        game = tmp_path / "g3.json"
+        assert main(["construct", "--m", "3", "--out", str(game)]) == 0
+        capsys.readouterr()
+        real = candidate_engine.sign_table
+
+        def flipped(game):
+            # the factor of player 1 in player 3's payoff difference at
+            # pi(1) = 2: only the candidates of pi = [2, 1, 3] read it
+            table = real(game)
+            table[0, 2, 1] *= -1
+            return table
+
+        monkeypatch.setattr(candidate_engine, "sign_table", flipped)
+        assert main(["classify", str(game), "--method", "both"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "method_disagreement",
+            "pi": [2, 1, 3],
+            "boundary": {"3": 0},
+            "by_increment": True,
+            "by_sign": False,
+        }
 
     def test_solve_expect_total_failure(self, tmp_path, capsys):
         game = tmp_path / "g2.json"

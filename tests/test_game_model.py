@@ -16,7 +16,6 @@ from twoaction.game_model import (
     FLOAT,
     CharacteristicTuple,
     CoefficientMatrix,
-    MixedProfile,
     ProductTwoActionGame,
     TwoActionGame,
     build_product_game,
@@ -42,16 +41,6 @@ class TestProfiles:
     def test_index_bits_roundtrip(self):
         for idx in range(16):
             assert profile_index(profile_bits(idx, 4)) == idx
-
-    def test_mixed_profile_boundary_sets(self):
-        p = MixedProfile((F(0), F(1, 2), F(1)))
-        assert p.zero_set() == (1,)
-        assert p.one_set() == (3,)
-        assert p.boundary_set() == (1, 3)
-
-    def test_mixed_profile_rejects_outside_unit_cube(self):
-        with pytest.raises(ValueError):
-            MixedProfile((F(3, 2),))
 
 
 class TestTwoActionGame:
