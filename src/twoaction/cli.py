@@ -207,12 +207,7 @@ def cmd_classify(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        starts_scale=args.starts,
-        residual_tol=args.residual_tol,
-        dedup_tol=args.dedup_tol,
-        threads=args.threads,
-    )
+    return SolverConfig(residual_tol=args.residual_tol, threads=args.threads)
 
 
 def cmd_solve(args) -> int:
@@ -231,6 +226,12 @@ def cmd_solve(args) -> int:
             f"margin={eq.margin:.2e}"
         )
     _emit(args, "\n".join(lines) + "\n", data)
+    if report.stats["failed"]:
+        # a path that failed may have been an equilibrium: the total is unproven
+        failed, starts = report.stats["failed"], report.stats["starts"]
+        error = {"error": "failed_paths", "total": report.total, "failed": failed, "starts": starts}
+        print(json.dumps(error), file=sys.stderr)
+        return FAIL
     if args.expect_total is not None and report.total != args.expect_total:
         print(
             json.dumps({"error": "unexpected_total", "total": report.total}),
@@ -293,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def solver_flags(p):
-        p.add_argument("--starts", type=int, default=50, help="starts per free dim doubling")
         p.add_argument("--residual-tol", type=float, default=1e-10)
-        p.add_argument("--dedup-tol", type=float, default=1e-6)
         p.add_argument("--threads", type=positive_int, default=1)
 
     def trial_flags(p, default_trials):

@@ -340,9 +340,17 @@ class ProductTwoActionGame:
         )
         coeffs = CoefficientMatrix.from_dict(data["m"], product["a"])
         game = cls(ctuple, coeffs)
-        # Sanity: the stored tensor must match the rebuilt one.
-        stored = TwoActionGame.from_dict(data)
-        if stored.mode == EXACT and stored.utilities != game.tensor.utilities:
+        # Sanity: the stored tensor must match the rebuilt one.  A stored
+        # entry is parsed only when it is not spelled as the canonical n/d.
+        if data["mode"] != EXACT:
+            TwoActionGame.from_dict(data)
+            return game
+        stored, rebuilt = data["utilities"], game.tensor.utilities
+        if [len(t) for t in stored] != [len(t) for t in rebuilt] or any(
+            text != _fraction_str(u) and Fraction(text) != u
+            for texts, table in zip(stored, rebuilt)
+            for text, u in zip(texts, table)
+        ):
             raise ValueError("stored tensor disagrees with the product block")
         return game
 

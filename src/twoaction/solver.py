@@ -1,12 +1,28 @@
 """Independent numeric Nash solver for two-action games.
 
 Enumerates all 3^m support profiles (each player: action 0, action 1, or
-fully mixed) and, per profile, runs damped multi-start Newton on the square
-multilinear system "payoff difference = 0 for every mixed player", then keeps
-the roots that sit strictly inside the open face and satisfy the boundary
-sign conditions with positive margin.  Start points come from a deterministic
-low-discrepancy lattice; randomness enters only through game generation and
-perturbation, always behind an explicit seed.
+fully mixed).  On a profile with r free players the equilibrium conditions
+are the r equations "payoff difference of free player i = 0".  Equation i is
+multilinear in the other free players' coordinates and does not contain
+x_i, so the system has at most !r isolated roots (McKelvey & McLennan,
+J. Econ. Theory 1997).  For r >= 2 the solver tracks exactly !r paths of the
+linear-product homotopy (Morgan & Sommese 1987)
+
+    H(x, t) = (1 - t) * gamma * G(x) + t * F(x),   G_i = prod_{j != i} (x_j - a_ij),
+
+from the roots of G, one per derangement of the free players, to t = 1, and
+keeps the real roots strictly inside the open face that satisfy the
+boundary sign conditions with positive margin.  Every payoff difference is
+written in the monomial basis of the face, so F, its Jacobian and the
+boundary conditions are einsums, and the supports with the same r are
+tracked as one NumPy batch.
+
+Every path ends in one of PATH_STATES.  Two paths of one support that end at
+the same point are a path jump; a support with a jumped or failed path is
+tracked once more with a smaller step and a new gamma, and a path that still
+fails is counted in ``stats["failed"]``, never dropped.  The a_ij and gamma
+come from a fixed seed, so a solve is deterministic; randomness enters only
+through game generation and perturbation, always behind an explicit seed.
 
 This solver never looks at the combinatorial structure of product games, so
 its censuses are an independent check on the exact candidate engine.
@@ -14,17 +30,45 @@ its censuses are an independent check on the exact candidate engine.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import candidates_on_face_class, subfactorial
+from .combinatorics import candidates_on_face_class, enumerate_derangements, subfactorial
 from .game_model import FLOAT, ProductTwoActionGame, TwoActionGame, perturb
 
 ZERO, ONE, FREE = "zero", "one", "free"
+
+# Where a tracked path ends.  Only real-interior roots can be equilibria.
+# Inside the solver a state is its index in PATH_STATES.
+PATH_STATES = ("real_interior", "real_exterior", "complex", "diverged", "failed")
+_INTERIOR, _EXTERIOR, _COMPLEX, _DIVERGED, _FAILED = range(len(PATH_STATES))
+
+# The a_ij and each tracking attempt's gamma are drawn from this seed.  A
+# random complex gamma misses, with probability one, the finitely many
+# values for which a path meets a singular point before t = 1.
+_HOMOTOPY_SEED = 20240817
+# Heun's predictor with two Newton corrector steps.  A step spans at most
+# _MAX_STEP in t, so even a straight path is corrected four times, and is
+# accepted when the first correction is at most _CORRECTOR_TOL * (1 + |x|)
+# and the second at most a tenth of it.  At 2e-3 paths of maximal_game(6)
+# jumped (the re-track caught them), at 1e-2 one failed even after it.  A
+# re-track divides both bounds by _RETRACK_SHRINK.
+_MAX_STEP = 0.25
+_CORRECTOR_TOL = 1e-3
+_RETRACK_SHRINK = 8
+# A path not at t = 1 after this many predictor-corrector rounds has failed.
+_MAX_ROUNDS = 2000
+# A path with a coordinate beyond this heads to a root at infinity.
+_INFINITY = 1e8
+# Relative to 1 + |x|: the last of three Newton steps at t = 1 must be
+# below it, an endpoint is real when its imaginary parts are below it, and
+# two endpoints closer than it are the same point.
+_ENDPOINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,12 +101,6 @@ class SupportProfile:
             [0.0 if k == ZERO else 1.0 if k == ONE else 0.5 for k in self.kinds]
         )
 
-    @classmethod
-    def from_gamma(cls, gamma: Sequence[float]) -> "SupportProfile":
-        return cls(
-            tuple(ZERO if g == 0 else ONE if g == 1 else FREE for g in gamma)
-        )
-
 
 def all_supports(m: int):
     for kinds in itertools.product((ZERO, ONE, FREE), repeat=m):
@@ -71,12 +109,9 @@ def all_supports(m: int):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    starts_scale: int = 50  # starts per support = starts_scale * 2^{#free}
     residual_tol: float = 1e-10
-    dedup_tol: float = 1e-6
     margin_tol: float = 1e-12
     near_degenerate_tol: float = 1e-8
-    max_iter: int = 50
     threads: int = 1
 
 
@@ -93,227 +128,233 @@ class SolverEquilibrium:
         return self.support.face_class
 
 
-class _FloatGame:
-    """Per-player difference tensors of a float game, ready for contraction."""
+def _vertex_differences(game: TwoActionGame | ProductTwoActionGame) -> np.ndarray:
+    """Each player's payoff difference at each pure profile, shape (m, 2, ..., 2).
 
-    def __init__(self, game: TwoActionGame):
-        base = game.as_float()
-        self.m = base.m
-        self.diff = []
-        for i in range(self.m):
-            tensor = base.tensor(i + 1)
-            self.diff.append(np.take(tensor, 1, axis=i) - np.take(tensor, 0, axis=i))
-
-    def lam_batch(self, player0: int, gammas: np.ndarray) -> np.ndarray:
-        """Payoff differences of a player (0-based) at a batch of profiles."""
-        pts = np.delete(gammas, player0, axis=1)
-        return _contract(self.diff[player0], pts)
-
-    def lam_deriv_batch(self, player0: int, gammas: np.ndarray, var0: int) -> np.ndarray:
-        """d lam / d gamma_var0 for var0 != player0, batched."""
-        pts = np.delete(gammas, player0, axis=1)
-        col = var0 if var0 < player0 else var0 - 1
-        return _contract(self.diff[player0], pts, deriv_col=col)
-
-
-def _contract(diff: np.ndarray, pts: np.ndarray, deriv_col: int | None = None) -> np.ndarray:
-    """Multilinear contraction of a (2,)*k tensor against batched weights.
-
-    Column ``a`` of ``pts`` carries the probability of index 1 on axis ``a``;
-    ``deriv_col`` switches that axis to the derivative weights (-1, +1).
+    Entry [i, b] does not depend on player i's own action b_i.
     """
-    batch = pts.shape[0]
-    val = np.broadcast_to(diff, (batch,) + diff.shape)
-    for a in range(diff.ndim - 1, -1, -1):
-        if a == deriv_col:
-            val = val[..., 1] - val[..., 0]
-        else:
-            w = pts[:, a].reshape((batch,) + (1,) * (val.ndim - 2))
-            val = val[..., 0] * (1 - w) + val[..., 1] * w
-    return val
+    base = (game.tensor if isinstance(game, ProductTwoActionGame) else game).as_float()
+    diffs = [np.diff(base.tensor(i + 1), axis=i) for i in range(base.m)]
+    return np.stack([np.broadcast_to(d, (2,) * base.m) for d in diffs])
 
 
-def _lattice_starts(count: int, dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy points in (0,1)^dim (Kronecker sequence)."""
-    # root of x^(dim+1) = x + 1, the standard generalized golden ratio
-    phi = 2.0
-    for _ in range(64):
-        phi = (1 + phi) ** (1.0 / (dim + 1))
-    alpha = np.array([phi ** -(k + 1) for k in range(dim)])
-    points = np.mod(0.5 + np.arange(1, count + 1)[:, None] * alpha, 1.0)
-    return 0.02 + 0.96 * points
+def _face_coefficients(vertex: np.ndarray, supports: Sequence[SupportProfile]) -> np.ndarray:
+    """Every player's payoff difference on each face, in the monomial basis.
 
-
-def _boundary_margin(
-    fg: _FloatGame, support: SupportProfile, gamma: np.ndarray
-) -> float:
-    """Min over boundary players of the correctly-signed payoff difference.
-
-    Positive when all sign conditions hold strictly; the most violated or
-    most fragile player determines the value.
+    Entry [s, i, S] multiplies prod_{j in S} x_j for player i on the face of
+    ``supports[s]``, with S a bit mask over its free players, the first one
+    most significant: the Moebius transform of the values at the vertices.
     """
-    margin = np.inf
-    row = gamma[None, :]
-    for i0, kind in enumerate(support.kinds):
-        if kind == FREE:
-            continue
-        lam = float(fg.lam_batch(i0, row)[0])
-        signed = -lam if kind == ZERO else lam
-        margin = min(margin, signed)
-    return margin
+    faces = [tuple(slice(None) if k == FREE else int(k == ONE) for k in sp.kinds) for sp in supports]
+    coeffs = np.stack([vertex[(slice(None),) + face] for face in faces])
+    for axis in range(2, coeffs.ndim):
+        low, high = np.split(coeffs, 2, axis=axis)
+        coeffs = np.concatenate([low, high - low], axis=axis)
+    return coeffs.reshape(coeffs.shape[:2] + (-1,))
 
 
-def _newton(
-    fg: _FloatGame,
-    support: SupportProfile,
-    starts: np.ndarray,
-    config: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton from each start; returns (points, residuals)."""
-    free0 = [i - 1 for i in support.free_players]
-    r = len(free0)
-    batch = starts.shape[0]
-    others = {i: [k for k in range(fg.m) if k != i] for i in free0}
+def _monomials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All monomials prod_{j in S} x_j of a batch of points, and their gradients.
 
-    X = starts.copy()
-    gammas = np.tile(support.fixed_gamma(), (batch, 1))
-    residual = np.full(batch, np.inf)
-    active = np.arange(batch)
-    for _ in range(config.max_iter):
-        gammas[active[:, None], free0] = X[active]
-        sub = gammas[active]
-        F = np.stack([fg.lam_batch(i, sub) for i in free0], axis=1)
-        res = np.abs(F).max(axis=1)
-        residual[active] = res
-        still = res > 0.01 * config.residual_tol
-        if not still.any():
-            break
-        active = active[still]
-        sub = sub[still]
-        F = F[still]
-        J = np.zeros((len(active), r, r))
-        for eq, i in enumerate(free0):
-            for var, k in enumerate(free0):
-                if k != i:
-                    J[:, eq, var] = fg.lam_deriv_batch(i, sub, k)
-        step = _solve_steps(J, F)
-        norm = np.abs(step).max(axis=1)
-        scale = np.minimum(1.0, 0.5 / np.maximum(norm, 1e-300))
-        X[active] = np.clip(X[active] + scale[:, None] * step, -3.0, 4.0)
-        stalled = norm * scale < 1e-15
-        bad = ~np.isfinite(X[active]).all(axis=1)
-        if bad.any():
-            X[active[bad]] = 0.5
-            residual[active[bad]] = np.inf
-        drop = stalled | bad
-        if drop.any():
-            active = active[~drop]
-        if len(active) == 0:
-            break
-    gammas[:, free0] = X
-    return gammas, residual
+    Returns M of shape (P, 2^r) and dM of shape (P, r, 2^r), where dM[:, k]
+    holds the derivatives by x_k, in the bit-mask order of _face_coefficients.
+    """
+    P, r = x.shape
+    M = np.ones((P, 1), dtype=x.dtype)
+    for j in range(r):
+        grown = np.empty((P, M.shape[1], 2), dtype=x.dtype)
+        grown[..., 0] = M
+        np.multiply(M, x[:, j, None], out=grown[..., 1])
+        M = grown.reshape(P, 2 ** (j + 1))
+    # d/dx_k of the monomial S + {k} is the monomial S; it is 0 on S without k
+    cube = M.reshape((P,) + (2,) * r)
+    dM = np.zeros((P, r) + (2,) * r, dtype=x.dtype)
+    for k in range(r):
+        lead = (slice(None),) * k
+        dM[(slice(None), k) + lead + (1,)] = cube[(slice(None),) + lead + (0,)]
+    return M, dM.reshape(P, r, 2**r)
 
 
-def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _linearized(C: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-J^-1 (rhs . M(x)), J the Jacobian of C . M at x; NaN where J is singular.
+
+    With rhs = C this is a Newton step, with rhs = dC/dt it is dx/dt.
+    """
+    M, dM = _monomials(x)
+    J = np.einsum("pis,pks->pik", C, dM)
+    b = -np.einsum("pis,ps->pi", rhs, M)[..., None]
     try:
-        return np.linalg.solve(J, -F[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(F)
-        for b in range(J.shape[0]):
-            try:
-                step[b] = np.linalg.solve(J[b], -F[b])
-            except np.linalg.LinAlgError:
-                step[b] = 0.0
-        return step
+        return np.linalg.solve(J, b)[..., 0]
+    except np.linalg.LinAlgError:  # one singular J fails the whole batch
+        singular = np.linalg.det(J) == 0
+        out = np.linalg.solve(np.where(singular[:, None, None], np.eye(J.shape[1]), J), b)
+    out[singular] = np.nan
+    return out[..., 0]
+
+
+def _start_system(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of G_i = prod_{j != i} (x_j - a_ij), and its !r roots.
+
+    G vanishes when every equation i picks one factor j = pi(i) with
+    x_j = a_ij and every x_j is picked once: pi is a derangement.
+    """
+    rng = np.random.default_rng([_HOMOTOPY_SEED, 0, r])
+    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    coeffs = np.ones((r, 1), dtype=complex)
+    for j in range(r):
+        factor = np.stack([-a[:, j], np.ones(r)], axis=1)
+        factor[j] = (1, 0)
+        coeffs = (coeffs[:, :, None] * factor[:, None, :]).reshape(r, -1)
+    pis = np.array([[img - 1 for img in pi.images] for pi in enumerate_derangements(r)])
+    roots = np.empty(pis.shape, dtype=complex)
+    roots[np.arange(len(pis))[:, None], pis] = a[np.arange(r), pis]
+    return coeffs, roots
+
+
+def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
+    """Follow each path of H(x, t) = (1 - t) G(x) + t F(x) from t = 0 to 1.
+
+    ``target`` holds F's coefficients per path, ``start`` G's with gamma.
+    ``shrink`` divides the step bounds.  Returns the points reached, the
+    mask of paths that reached t = 1 and the mask of those that diverged.
+    """
+    max_step, tol = _MAX_STEP / shrink, _CORRECTOR_TOL / shrink
+    x, t = x.copy(), np.zeros(len(x))
+    step = np.full(len(x), max_step)
+    reached, diverged = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(_MAX_ROUNDS):
+        if not len(active):
+            break
+        dC, xa, ta = target[active] - start, x[active], t[active]
+        h = np.minimum(step[active], 1 - ta)
+        t1 = np.where(h >= 1 - ta, 1.0, ta + h)
+        C0, C1 = (start + s[:, None, None] * dC for s in (ta, t1))
+        k1 = _linearized(C0, dC, xa)
+        k2 = _linearized(C1, dC, xa + h[:, None] * k1)
+        xp = xa + (h / 2)[:, None] * (k1 + k2)
+        d1 = _linearized(C1, C1, xp)
+        d2 = _linearized(C1, C1, xp + d1)
+        xp += d1 + d2
+        size = 1 + np.abs(xp).max(axis=1)
+        n1 = np.abs(d1).max(axis=1)
+        ok = (n1 <= tol * size) & (np.abs(d2).max(axis=1) <= 0.1 * n1 + 1e-14 * size)
+        # Heun's error is O(h^3): aim the next first correction at tol / 2
+        factor = np.clip(np.nan_to_num(np.cbrt(0.5 * tol * size / n1), nan=0.5), 0.25, 2)
+        step[active] = np.where(ok, np.minimum(h * factor, max_step), h * np.minimum(factor, 0.5))
+        x[active[ok]], t[active[ok]] = xp[ok], t1[ok]
+        reached[active[ok & (t1 == 1)]] = True
+        diverged[active[ok & (t1 < 1) & (size > _INFINITY)]] = True
+        active = active[~(reached[active] | diverged[active])]
+    return x, reached, diverged
+
+
+def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (n, !r, r) and states (n, !r) of the paths of n supports.
+
+    ``target`` holds the (n, r, 2^r) coefficients of their systems.  States
+    are indices into PATH_STATES.
+    """
+    n, r, _ = target.shape
+    start, roots = _start_system(r)
+    d = len(roots)
+    per_path = np.repeat(target, d, axis=0)
+    gamma = np.exp(2j * np.pi * np.random.default_rng([_HOMOTOPY_SEED, 1, attempt]).random())
+    x, reached, diverged = _track(
+        per_path, gamma * start, np.tile(roots, (n, 1)), _RETRACK_SHRINK**attempt
+    )
+    for _ in range(3):
+        dx = _linearized(per_path, per_path, x)
+        x += dx
+    size = 1 + np.abs(x).max(axis=1)
+    polished = np.abs(dx).max(axis=1) <= _ENDPOINT_TOL * size
+    state = np.select(
+        [diverged, ~(reached & polished), np.abs(x.imag).max(axis=1) > _ENDPOINT_TOL * size],
+        [_DIVERGED, _FAILED, _COMPLEX],
+        np.where(((x.real > 0) & (x.real < 1)).all(axis=1), _INTERIOR, _EXTERIOR),
+    ).reshape(n, d)
+    x, size = x.reshape(n, d, r), size.reshape(n, d)
+    for s in range(n if d > 1 else 0):
+        # a finite endpoint that an earlier path of the support also reached
+        rows = np.flatnonzero(state[s] < _DIVERGED)
+        dist = np.zeros((len(rows), len(rows)))
+        for col in x[s, rows].T:
+            dist = np.maximum(dist, np.abs(col[:, None] - col[None, :]))
+        close = np.triu(dist <= _ENDPOINT_TOL * size[s, rows], k=1)
+        state[s, rows[close.any(axis=0)]] = _FAILED
+    return x, state
+
+
+def _solve_batch(
+    vertex: np.ndarray, supports: Sequence[SupportProfile], config: SolverConfig
+) -> list[tuple[list[SolverEquilibrium], dict]]:
+    """Equilibria and statistics of supports that all have the same r."""
+    n, r = len(supports), len(supports[0].free_players)
+    coeffs = _face_coefficients(vertex, supports)
+    free = np.array([sp.free_players for sp in supports], dtype=int).reshape(n, r) - 1
+    own = np.take_along_axis(coeffs, free[..., None], axis=1)
+    # r = 0: the vertex is the one candidate; r = 1: there is none
+    x, state = np.zeros((n, int(r == 0), r)), np.zeros((n, int(r == 0)), dtype=int)
+    degenerate, redo = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    if r == 1:
+        # The single equation does not involve the free coordinate: it either
+        # fails (generic) or degenerates to a continuum, reported but never
+        # counted.
+        degenerate = np.abs(own[:, 0, 0]) <= config.residual_tol
+    elif r >= 2:
+        scale = np.abs(own).max(axis=2)
+        degenerate = (scale == 0).any(axis=1)
+        target = own / np.where(scale == 0, 1.0, scale)[..., None]
+        with np.errstate(all="ignore"):
+            x, state = _track_supports(target, 0)
+            redo = (state == _FAILED).any(axis=1)
+            if redo.any():
+                x[redo], state[redo] = _track_supports(target[redo], 1)
+
+    # residuals of the free players and signed margins of the boundary ones
+    sup, path = np.nonzero(state == _INTERIOR)
+    points = x[sup, path].real
+    values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points)[0])
+    sign = np.array([[-1.0 if k == ZERO else 1.0 for k in sp.kinds] for sp in supports])
+    residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
+    np.put_along_axis(values, free[sup], np.inf, axis=1)
+    margin = (sign[sup] * values).min(axis=1, initial=np.inf)
+    unproven = residual > config.residual_tol
+    state[sup[unproven], path[unproven]] = _FAILED
+
+    solutions: list[list[SolverEquilibrium]] = [[] for _ in supports]
+    for s, point, res, mar in zip(sup, points, residual, margin):
+        if res <= config.residual_tol and mar >= config.margin_tol:
+            gamma = supports[s].fixed_gamma()
+            gamma[free[s]] = point
+            solutions[s].append(
+                SolverEquilibrium(
+                    gamma=tuple(float(g) for g in gamma),
+                    support=supports[s],
+                    residual=float(res),
+                    margin=float(mar),
+                    near_degenerate=bool(mar < config.near_degenerate_tol),
+                )
+            )
+    paths = state if r >= 2 else state[:, :0]
+    results = []
+    for s in range(n):
+        counts = np.bincount(paths[s], minlength=len(PATH_STATES))
+        stats = {"starts": paths.shape[1], "converged": int(counts[:_DIVERGED].sum())}
+        stats["retracked"] = paths.shape[1] * int(redo[s])
+        stats.update(zip(PATH_STATES, counts.tolist()))
+        stats["degenerate"] = bool(degenerate[s])
+        results.append((sorted(solutions[s], key=lambda eq: eq.gamma), stats))
+    return results
 
 
 def solve_support(
     game: TwoActionGame | ProductTwoActionGame,
     support: SupportProfile,
     config: SolverConfig = SolverConfig(),
-    extra_starts: Sequence[Sequence[float]] = (),
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria whose support is exactly the given profile, plus statistics."""
-    fg = game if isinstance(game, _FloatGame) else _FloatGame(_as_tensor(game))
-    return _solve_support(fg, support, config, extra_starts)
-
-
-def _as_tensor(game) -> TwoActionGame:
-    return game.tensor if isinstance(game, ProductTwoActionGame) else game
-
-
-def _solve_support(
-    fg: _FloatGame,
-    support: SupportProfile,
-    config: SolverConfig,
-    extra_starts: Sequence[Sequence[float]] = (),
-) -> tuple[list[SolverEquilibrium], dict]:
-    free0 = [i - 1 for i in support.free_players]
-    r = len(free0)
-    stats = {"starts": 0, "converged": 0, "degenerate": False}
-
-    if r == 0:
-        gamma = support.fixed_gamma()
-        margin = _boundary_margin(fg, support, gamma)
-        if margin >= config.margin_tol:
-            eq = SolverEquilibrium(
-                gamma=tuple(float(g) for g in gamma),
-                support=support,
-                residual=0.0,
-                margin=margin,
-                near_degenerate=margin < config.near_degenerate_tol,
-            )
-            return [eq], stats
-        return [], stats
-
-    if r == 1:
-        # The single equation does not involve the free coordinate: it either
-        # fails (generic) or degenerates to a continuum, which we report but
-        # never count.
-        gamma = support.fixed_gamma()
-        lam = float(fg.lam_batch(free0[0], gamma[None, :])[0])
-        if abs(lam) <= config.residual_tol:
-            stats["degenerate"] = True
-        return [], stats
-
-    starts = _lattice_starts(config.starts_scale * 2**r, r)
-    if len(extra_starts):
-        starts = np.vstack([np.asarray(extra_starts, dtype=float), starts])
-    stats["starts"] = len(starts)
-
-    gammas, residual = _newton(fg, support, starts, config)
-    converged = residual <= config.residual_tol
-    stats["converged"] = int(converged.sum())
-
-    interior = np.ones(len(gammas), dtype=bool)
-    for i0 in free0:
-        col = gammas[:, i0]
-        interior &= (col > config.dedup_tol) & (col < 1 - config.dedup_tol)
-    keep = converged & interior
-
-    solutions: list[SolverEquilibrium] = []
-    order = np.lexsort(gammas[keep].T[::-1])
-    rows = np.flatnonzero(keep)[order]
-    for b in rows:
-        gamma = gammas[b]
-        if any(
-            np.abs(np.array(sol.gamma) - gamma).max() < config.dedup_tol
-            for sol in solutions
-        ):
-            continue
-        margin = _boundary_margin(fg, support, gamma)
-        if margin < config.margin_tol:
-            continue
-        solutions.append(
-            SolverEquilibrium(
-                gamma=tuple(float(g) for g in gamma),
-                support=support,
-                residual=float(residual[b]),
-                margin=margin,
-                near_degenerate=margin < config.near_degenerate_tol,
-            )
-        )
-    return solutions, stats
+    return _solve_batch(_vertex_differences(game), [support], config)[0]
 
 
 @dataclass
@@ -331,16 +372,14 @@ class SolverReport:
     def to_dict(self) -> dict:
         return {
             "m": self.m,
-            "config": _config_dict(self.config),
+            "config": dataclasses.asdict(self.config),
             "equilibria": [
-                {
-                    "gamma": list(eq.gamma),
-                    "support": list(eq.support.kinds),
-                    "face_class": eq.face_class,
-                    "residual": eq.residual,
-                    "margin": eq.margin,
-                    "near_degenerate": eq.near_degenerate,
-                }
+                dict(
+                    dataclasses.asdict(eq),
+                    gamma=list(eq.gamma),
+                    support=list(eq.support.kinds),
+                    face_class=eq.face_class,
+                )
                 for eq in self.equilibria
             ],
             "face_census": self.face_census,
@@ -349,63 +388,35 @@ class SolverReport:
         }
 
 
-def _config_dict(config: SolverConfig) -> dict:
-    return {
-        "starts_scale": config.starts_scale,
-        "residual_tol": config.residual_tol,
-        "dedup_tol": config.dedup_tol,
-        "margin_tol": config.margin_tol,
-        "near_degenerate_tol": config.near_degenerate_tol,
-        "max_iter": config.max_iter,
-        "threads": config.threads,
-    }
-
-
 def solve_all(
     game: TwoActionGame | ProductTwoActionGame,
     config: SolverConfig = SolverConfig(),
-    seed_points: Iterable[Sequence[float]] = (),
 ) -> SolverReport:
     """All equilibria of the game, by support enumeration.
 
-    ``seed_points`` are full profiles used as additional Newton starts for
-    the support they belong to (used to track equilibria under deformation).
+    ``stats`` counts the paths tracked (``starts``: sum over r >= 2 of
+    C(m, r) 2^(m-r) !r), the paths ending at a finite point (``converged``),
+    the paths re-tracked after a jump or failure, the paths ending in each
+    of PATH_STATES, and the degenerate supports.
     """
-    tensor = _as_tensor(game)
-    fg = _FloatGame(tensor)
-    m = tensor.m
-
-    seeds_by_support: dict[tuple, list] = {}
-    for point in seed_points:
-        sp = SupportProfile.from_gamma(tuple(point))
-        free0 = [i - 1 for i in sp.free_players]
-        seeds_by_support.setdefault(sp.kinds, []).append([point[i] for i in free0])
-
-    supports = list(all_supports(m))
-
-    def run(sp):
-        return _solve_support(fg, sp, config, seeds_by_support.get(sp.kinds, ()))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, supports))
-    else:
-        results = [run(sp) for sp in supports]
+    vertex = _vertex_differences(game)
+    m = len(vertex)
+    # one batch per number of free players, the batches spread over the
+    # threads; the pool starts no thread unless it is handed work
+    supports = sorted(all_supports(m), key=lambda sp: sp.face_class)
+    groups = [list(g) for _, g in itertools.groupby(supports, key=lambda sp: sp.face_class)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        mapper = pool.map if config.threads > 1 else map
+        batches = list(mapper(lambda group: _solve_batch(vertex, group, config), groups))
 
     equilibria: list[SolverEquilibrium] = []
-    totals = {"starts": 0, "converged": 0, "degenerate_supports": 0}
-    for solutions, stats in results:
-        totals["starts"] += stats["starts"]
-        totals["converged"] += stats["converged"]
-        totals["degenerate_supports"] += int(stats["degenerate"])
-        for sol in solutions:
-            if any(
-                max(abs(a - b) for a, b in zip(sol.gamma, other.gamma))
-                < config.dedup_tol
-                for other in equilibria
-            ):
-                continue
-            equilibria.append(sol)
+    totals = dict.fromkeys(("starts", "converged", "retracked", *PATH_STATES), 0)
+    totals["degenerate_supports"] = 0
+    for solutions, stats in itertools.chain.from_iterable(batches):
+        stats = dict(stats, degenerate_supports=int(stats["degenerate"]))
+        for key in totals:
+            totals[key] += stats[key]
+        equilibria.extend(solutions)
 
     equilibria.sort(key=lambda eq: eq.gamma)
     census = [0] * (m + 1)
@@ -427,25 +438,19 @@ class DeformationReport:
     stable_trials: int
     max_drift: float
     tracking_failures: list[int]
+    failed_paths: int
     config: SolverConfig
 
     @property
     def all_stable(self) -> bool:
-        return self.stable_trials == self.trials and not self.tracking_failures
+        return (
+            self.stable_trials == self.trials
+            and not self.tracking_failures
+            and not self.failed_paths
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "baseline_total": self.baseline_total,
-            "trial_totals": self.trial_totals,
-            "stable_trials": self.stable_trials,
-            "max_drift": self.max_drift,
-            "tracking_failures": self.tracking_failures,
-            "all_stable": self.all_stable,
-            "config": _config_dict(self.config),
-        }
+        return dict(dataclasses.asdict(self), all_stable=self.all_stable)
 
 
 def verify_deformation(
@@ -458,11 +463,11 @@ def verify_deformation(
 ) -> DeformationReport:
     """Perturb the game repeatedly and check the equilibrium count is stable.
 
-    Each trial re-solves the perturbed game with Newton seeded at the exact
-    equilibria of the unperturbed game plus the usual lattice starts, then
-    compares totals and records how far each equilibrium moved.  A baseline
-    equilibrium with no perturbed equilibrium within ``track_tol`` counts as
-    a tracking failure.
+    Each trial solves the perturbed game from scratch (the homotopy tracks
+    every root, so no start points are carried over), compares its total
+    with the exact equilibria of the unperturbed game and records how far
+    each of them moved.  A baseline equilibrium with no perturbed
+    equilibrium within ``track_tol`` counts as a tracking failure.
     """
     from .candidate_engine import equilibria as exact_equilibria
 
@@ -472,11 +477,12 @@ def verify_deformation(
 
     totals: list[int] = []
     failures: list[int] = []
-    stable = 0
+    stable = failed_paths = 0
     max_drift = 0.0
     for t in range(trials):
         perturbed = perturb(game, epsilon, int(trial_seeds[t]))
-        report = solve_all(perturbed, config, seed_points=baseline)
+        report = solve_all(perturbed, config)
+        failed_paths += report.stats["failed"]
         totals.append(report.total)
         if report.total == len(baseline):
             stable += 1
@@ -504,6 +510,7 @@ def verify_deformation(
         stable_trials=stable,
         max_drift=max_drift,
         tracking_failures=failures,
+        failed_paths=failed_paths,
         config=config,
     )
 
@@ -530,15 +537,9 @@ class InequalityCheck:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "census": self.census,
-            "cumulative": self.rows,
-            "interior_bound_ok": self.interior_bound_ok,
-            "near_vertex_empty": self.near_vertex_empty,
-            "vertex_bound_ok": self.vertex_bound_ok,
-            "all_ok": self.all_ok,
-        }
+        data = dataclasses.asdict(self)
+        data["cumulative"] = data.pop("rows")
+        return dict(data, all_ok=self.all_ok)
 
 
 def check_inequalities(census: Sequence[int], m: int) -> InequalityCheck:
@@ -587,14 +588,7 @@ def random_generic_game(
     for _ in range(max_regen):
         tables = rng.uniform(-1.0, 1.0, size=(m, 2**m))
         game = TwoActionGame(m, tables.tolist(), mode=FLOAT)
-        fg = _FloatGame(game)
-        vertices = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
-        ok = True
-        for i0 in range(m):
-            if np.abs(fg.lam_batch(i0, vertices)).min() <= degeneracy_tol:
-                ok = False
-                break
-        if ok:
+        if np.abs(_vertex_differences(game)).min() > degeneracy_tol:
             return game
     raise RuntimeError("could not draw a non-degenerate game")
 
@@ -607,25 +601,17 @@ class ScanReport:
     even_count_failures: int
     regenerations: int
     totals_histogram: dict[int, int]
+    failed_paths: int
     config: SolverConfig
     seed: int
 
     @property
     def all_ok(self) -> bool:
-        return not self.violations and self.even_count_failures == 0
+        return not self.violations and not self.even_count_failures and not self.failed_paths
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "violations": self.violations,
-            "even_count_failures": self.even_count_failures,
-            "regenerations": self.regenerations,
-            "totals_histogram": {str(k): v for k, v in sorted(self.totals_histogram.items())},
-            "all_ok": self.all_ok,
-            "seed": self.seed,
-            "config": _config_dict(self.config),
-        }
+        histogram = {str(k): v for k, v in sorted(self.totals_histogram.items())}
+        return dict(dataclasses.asdict(self), totals_histogram=histogram, all_ok=self.all_ok)
 
 
 def scan_inequalities(
@@ -646,13 +632,13 @@ def scan_inequalities(
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
-    even_failures = 0
-    regenerations = 0
+    even_failures = regenerations = failed_paths = 0
     histogram: dict[int, int] = {}
     for trial in range(trials):
         for attempt in range(max_retries + 1):
             game = random_generic_game(m, rng)
             report = solve_all(game, config)
+            failed_paths += report.stats["failed"]
             if report.total % 2 == 1:
                 break
             regenerations += 1
@@ -669,6 +655,7 @@ def scan_inequalities(
         even_count_failures=even_failures,
         regenerations=regenerations,
         totals_histogram=histogram,
+        failed_paths=failed_paths,
         config=config,
         seed=seed,
     )

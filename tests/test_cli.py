@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twoaction import candidate_engine
+from twoaction import candidate_engine, solver
 from twoaction.cli import main, parse_permutation
 from twoaction.combinatorics import Permutation
 
@@ -70,8 +70,6 @@ class TestConstructClassifySolve:
                     str(game),
                     "--expect-total",
                     "9",
-                    "--starts",
-                    "12",
                     "--format",
                     "json",
                 ]
@@ -165,7 +163,23 @@ class TestConstructClassifySolve:
         game = tmp_path / "g2.json"
         assert main(["construct", "--m", "2", "--out", str(game)]) == 0
         capsys.readouterr()
-        assert main(["solve", str(game), "--expect-total", "4", "--starts", "12"]) == 1
+        assert main(["solve", str(game), "--expect-total", "4"]) == 1
+
+    def test_solve_reports_failed_paths(self, tmp_path, capsys, monkeypatch):
+        # one predictor-corrector round is too few for any path to reach t = 1
+        monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
+        game = tmp_path / "g3.json"
+        assert main(["construct", "--m", "3", "--out", str(game)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(game), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["stats"]["failed"] == 8
+        assert json.loads(captured.err) == {
+            "error": "failed_paths",
+            "failed": 8,
+            "starts": 8,
+            "total": 4,
+        }
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["classify", "/nonexistent/game.json"]) in (1, 2)
@@ -184,8 +198,6 @@ class TestDeformScan:
                 "1e-3",
                 "--trials",
                 "3",
-                "--starts",
-                "12",
                 "--format",
                 "json",
             ]
@@ -197,7 +209,7 @@ class TestDeformScan:
 
     def test_scan(self, capsys):
         rc = main(
-            ["scan", "--m", "2", "--trials", "5", "--starts", "12", "--format", "json"]
+            ["scan", "--m", "2", "--trials", "5", "--format", "json"]
         )
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -233,6 +245,10 @@ class TestInputValidation:
             ["classify", "game.json", "--seed", "1"],
             ["candidates", "game.json", "--threads", "2"],
             ["solve", "game.json", "--seed", "1"],
+            ["solve", "game.json", "--starts", "12"],
+            ["solve", "game.json", "--dedup-tol", "1e-6"],
+            ["deform", "game.json", "--starts", "12"],
+            ["scan", "--m", "2", "--dedup-tol", "1e-6"],
         ],
     )
     def test_unused_knobs_are_rejected(self, argv, capsys):

@@ -340,3 +340,40 @@ class TestPerturbAndSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_game(path)
+
+    @pytest.mark.parametrize("text", ["1/3", "2/6", "-5/7", "0.5", "abc"])
+    def test_one_altered_entry_rejected(self, tmp_path, text):
+        # the stored string is parsed only when it is not canonical, so an
+        # altered value must fail in either spelling, and garbage must too
+        game = maximal_game(3)
+        path = tmp_path / "game.json"
+        save_game(game, path)
+        data = json.loads(path.read_text())
+        assert data["utilities"][2][5] == "-9/16"
+        data["utilities"][2][5] = text
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            load_game(path)
+
+    def test_noncanonical_spelling_loads(self, tmp_path):
+        game = maximal_game(3)
+        path = tmp_path / "game.json"
+        save_game(game, path)
+        data = json.loads(path.read_text())
+        for table in data["utilities"]:
+            for k, text in enumerate(table):
+                value = Fraction(text)
+                table[k] = "0" if not value else f"{2 * value.numerator}/{2 * value.denominator}"
+        path.write_text(json.dumps(data))
+        loaded = load_game(path)
+        assert loaded.tensor.utilities == game.tensor.utilities
+
+    def test_wrong_table_size_rejected(self, tmp_path):
+        game = maximal_game(2)
+        path = tmp_path / "game.json"
+        save_game(game, path)
+        data = json.loads(path.read_text())
+        data["utilities"][1].append("0/1")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            load_game(path)
