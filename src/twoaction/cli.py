@@ -74,7 +74,7 @@ def _parse_sigma(spec: str, m: int) -> tuple[Permutation, ...]:
 def _emit(args, text: str, data: dict, csv_rows: list[list] | None = None) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
-        payload = json.dumps(data, indent=1) + "\n"
+        payload = json.dumps(data, indent=1, allow_nan=False) + "\n"
     elif fmt == "csv":
         rows = csv_rows if csv_rows is not None else [[k, v] for k, v in data.items()]
         payload = "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"

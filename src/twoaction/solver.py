@@ -14,8 +14,14 @@ from the roots of G, one per derangement of the free players, to t = 1, and
 keeps the real roots strictly inside the open face that satisfy the
 boundary sign conditions with positive margin.  Every payoff difference is
 written in the monomial basis of the face, so F, its Jacobian and the
-boundary conditions are einsums, and the supports with the same r are
-tracked as one NumPy batch.
+boundary conditions are matrix products, and the supports with the same r
+are tracked as one NumPy batch.
+
+A tracking round is Heun's predictor and a chord corrector: both Newton
+corrections reuse the inverse Jacobian at the Heun point, and an accepted
+step carries it to the next round's tangent, so a round builds and inverts
+two Jacobians instead of four.  The Jacobians it stands in for differ from
+it by at most the accepted first correction.
 
 Every path ends in one of PATH_STATES.  Two paths of one support that end at
 the same point are a path jump; a support with a jumped or failed path is
@@ -31,6 +37,7 @@ its censuses are an independent check on the exact candidate engine.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
@@ -153,43 +160,61 @@ def _face_coefficients(vertex: np.ndarray, supports: Sequence[SupportProfile]) -
     return coeffs.reshape(coeffs.shape[:2] + (-1,))
 
 
-def _monomials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All monomials prod_{j in S} x_j of a batch of points, and their gradients.
+@functools.cache
+def _bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which free players each monomial holds, and where its gradients come from.
 
-    Returns M of shape (P, 2^r) and dM of shape (P, r, 2^r), where dM[:, k]
-    holds the derivatives by x_k, in the bit-mask order of _face_coefficients.
+    ``bits[j, 0, S]`` says whether player j is in the bit mask S, the first
+    one most significant.  ``drop[S, k]`` is S without k when k is in S, and
+    otherwise 2^r, the index of a zero column appended to the monomials.
     """
-    P, r = x.shape
-    M = np.ones((P, 1), dtype=x.dtype)
-    for j in range(r):
-        grown = np.empty((P, M.shape[1], 2), dtype=x.dtype)
-        grown[..., 0] = M
-        np.multiply(M, x[:, j, None], out=grown[..., 1])
-        M = grown.reshape(P, 2 ** (j + 1))
-    # d/dx_k of the monomial S + {k} is the monomial S; it is 0 on S without k
-    cube = M.reshape((P,) + (2,) * r)
-    dM = np.zeros((P, r) + (2,) * r, dtype=x.dtype)
-    for k in range(r):
-        lead = (slice(None),) * k
-        dM[(slice(None), k) + lead + (1,)] = cube[(slice(None),) + lead + (0,)]
-    return M, dM.reshape(P, r, 2**r)
+    masks = np.arange(2**r)
+    bit = 1 << np.arange(r - 1, -1, -1)[:, None]
+    bits = (masks & bit) > 0
+    tables = bits[:, None, :], np.where(bits, masks ^ bit, 2**r).T
+    for table in tables:  # cached: every caller shares them
+        table.flags.writeable = False
+    return tables
 
 
-def _linearized(C: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """-J^-1 (rhs . M(x)), J the Jacobian of C . M at x; NaN where J is singular.
+def _monomials(x: np.ndarray) -> np.ndarray:
+    """All monomials prod_{j in S} x_j of a batch of points, shape (P, 2^r).
 
-    With rhs = C this is a Newton step, with rhs = dC/dt it is dx/dt.
+    Column S is in the bit-mask order of _face_coefficients.
     """
-    M, dM = _monomials(x)
-    J = np.einsum("pis,pks->pik", C, dM)
-    b = -np.einsum("pis,ps->pi", rhs, M)[..., None]
+    return np.where(_bit_tables(x.shape[1])[0], x.T[:, :, None], 1).prod(axis=0)
+
+
+def _gradients(M: np.ndarray) -> np.ndarray:
+    """dM of shape (P, r, 2^r): dM[:, k] holds the monomials' derivatives by x_k.
+
+    d/dx_k of the monomial S is the monomial S without k if k is in S, else
+    0, so dM is one gather from M; its transpose is contiguous.
+    """
+    P, r = len(M), M.shape[1].bit_length() - 1
+    padded = np.concatenate((M, np.zeros((P, 1), dtype=M.dtype)), axis=1)
+    return padded[:, _bit_tables(r)[1]].transpose(0, 2, 1)
+
+
+def _jacobian(C: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Jacobian C . dM^T, by x, of the systems with coefficients C at monomials M."""
+    return C @ _gradients(M).transpose(0, 2, 1)
+
+
+def _inverse(J: np.ndarray) -> np.ndarray:
+    """Batched inverse of the Jacobians J; NaN where J is singular."""
     try:
-        return np.linalg.solve(J, b)[..., 0]
+        return np.linalg.inv(J)
     except np.linalg.LinAlgError:  # one singular J fails the whole batch
         singular = np.linalg.det(J) == 0
-        out = np.linalg.solve(np.where(singular[:, None, None], np.eye(J.shape[1]), J), b)
+        out = np.linalg.inv(np.where(singular[:, None, None], np.eye(J.shape[1]), J))
     out[singular] = np.nan
-    return out[..., 0]
+    return out
+
+
+def _step(inverse: np.ndarray, rhs: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """-J^-1 (rhs . M): a Newton step with rhs = C, dx/dt with rhs = dC/dt."""
+    return -(inverse @ (rhs @ M[..., None]))[..., 0]
 
 
 def _start_system(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,32 +242,47 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     ``target`` holds F's coefficients per path, ``start`` G's with gamma.
     ``shrink`` divides the step bounds.  Returns the points reached, the
     mask of paths that reached t = 1 and the mask of those that diverged.
+
+    A round builds and inverts two Jacobians, not four.  The corrector is a
+    chord method: both Newton corrections at t1 use the inverse at the Heun
+    point, whose Jacobian differs from the one at the first corrected point
+    by O(|d1|), at most _CORRECTOR_TOL relative on an accepted step.  An
+    accepted step carries that inverse to the next round, whose tangent k1
+    at the accepted point it gives; only k2, at the Euler point, needs a
+    fresh one.  The first inverse per path is taken once, at t = 0.
     """
     max_step, tol = _MAX_STEP / shrink, _CORRECTOR_TOL / shrink
+    dC = target - start
     x, t = x.copy(), np.zeros(len(x))
+    inverse = _inverse(_jacobian(start, _monomials(x)))
     step = np.full(len(x), max_step)
     reached, diverged = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
     active = np.arange(len(x))
     for _ in range(_MAX_ROUNDS):
         if not len(active):
             break
-        dC, xa, ta = target[active] - start, x[active], t[active]
+        dCa, xa, ta = dC[active], x[active], t[active]
         h = np.minimum(step[active], 1 - ta)
         t1 = np.where(h >= 1 - ta, 1.0, ta + h)
-        C0, C1 = (start + s[:, None, None] * dC for s in (ta, t1))
-        k1 = _linearized(C0, dC, xa)
-        k2 = _linearized(C1, dC, xa + h[:, None] * k1)
+        C1 = start + t1[:, None, None] * dCa
+        k1 = _step(inverse[active], dCa, _monomials(xa))
+        M = _monomials(xa + h[:, None] * k1)
+        k2 = _step(_inverse(_jacobian(C1, M)), dCa, M)
         xp = xa + (h / 2)[:, None] * (k1 + k2)
-        d1 = _linearized(C1, C1, xp)
-        d2 = _linearized(C1, C1, xp + d1)
+        M = _monomials(xp)
+        chord = _inverse(_jacobian(C1, M))
+        d1 = _step(chord, C1, M)
+        d2 = _step(chord, C1, _monomials(xp + d1))
         xp += d1 + d2
         size = 1 + np.abs(xp).max(axis=1)
         n1 = np.abs(d1).max(axis=1)
         ok = (n1 <= tol * size) & (np.abs(d2).max(axis=1) <= 0.1 * n1 + 1e-14 * size)
-        # Heun's error is O(h^3): aim the next first correction at tol / 2
-        factor = np.clip(np.nan_to_num(np.cbrt(0.5 * tol * size / n1), nan=0.5), 0.25, 2)
+        # Heun's error is O(h^3): aim the next first correction at tol / 2,
+        # halving the step where that is undefined
+        factor = np.cbrt(0.5 * tol * size / n1)
+        factor = np.where(np.isnan(factor), 0.5, np.minimum(np.maximum(factor, 0.25), 2))
         step[active] = np.where(ok, np.minimum(h * factor, max_step), h * np.minimum(factor, 0.5))
-        x[active[ok]], t[active[ok]] = xp[ok], t1[ok]
+        x[active[ok]], t[active[ok]], inverse[active[ok]] = xp[ok], t1[ok], chord[ok]
         reached[active[ok & (t1 == 1)]] = True
         diverged[active[ok & (t1 < 1) & (size > _INFINITY)]] = True
         active = active[~(reached[active] | diverged[active])]
@@ -264,7 +304,8 @@ def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.nd
         per_path, gamma * start, np.tile(roots, (n, 1)), _RETRACK_SHRINK**attempt
     )
     for _ in range(3):
-        dx = _linearized(per_path, per_path, x)
+        M = _monomials(x)
+        dx = _step(_inverse(_jacobian(per_path, M)), per_path, M)
         x += dx
     size = 1 + np.abs(x).max(axis=1)
     polished = np.abs(dx).max(axis=1) <= _ENDPOINT_TOL * size
@@ -314,7 +355,7 @@ def _solve_batch(
     # residuals of the free players and signed margins of the boundary ones
     sup, path = np.nonzero(state == _INTERIOR)
     points = x[sup, path].real
-    values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points)[0])
+    values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points))
     sign = np.array([[-1.0 if k == ZERO else 1.0 for k in sp.kinds] for sp in supports])
     residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
     np.put_along_axis(values, free[sup], np.inf, axis=1)
@@ -377,6 +418,8 @@ class SolverReport:
                 dict(
                     dataclasses.asdict(eq),
                     gamma=list(eq.gamma),
+                    # no boundary player: the margin is inf, which JSON lacks
+                    margin=eq.margin if np.isfinite(eq.margin) else None,
                     support=list(eq.support.kinds),
                     face_class=eq.face_class,
                 )

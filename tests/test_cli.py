@@ -165,6 +165,20 @@ class TestConstructClassifySolve:
         capsys.readouterr()
         assert main(["solve", str(game), "--expect-total", "4"]) == 1
 
+    def test_solve_json_is_strict(self, tmp_path, capsys):
+        # the fully mixed equilibrium of construct --m 2 has no boundary
+        # player; its margin must not come out as the non-JSON Infinity
+        game = tmp_path / "g2.json"
+        assert main(["construct", "--m", "2", "--out", str(game)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(game), "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert None in [eq["margin"] for eq in data["equilibria"]]
+
     def test_solve_reports_failed_paths(self, tmp_path, capsys, monkeypatch):
         # one predictor-corrector round is too few for any path to reach t = 1
         monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestSolveAll:
         report = solve_all(game)
         exact = [e.gamma_floats() for e in equilibria(game, method="both")]
         match_sets([e.gamma for e in report.equilibria], exact, 1e-9)
+        assert report.stats["failed"] == 0
+
+    @pytest.mark.parametrize("m, seed", [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1)])
+    def test_matches_exact_engine_on_product_games(self, random_product_game, m, seed):
+        # product games that are not maximal
+        game = random_product_game(m, random.Random(seed))
+        report = solve_all(game)
+        exact = [e.gamma_floats() for e in equilibria(game, method="both")]
+        match_sets([e.gamma for e in report.equilibria], exact, 1e-9)
+        assert report.stats["failed"] == 0
 
     def test_threads_give_same_answer(self):
         game = maximal_game(3)
@@ -112,8 +123,10 @@ class TestSolveAll:
         import json
 
         data = solve_all(matching_pennies(), SolverConfig(residual_tol=1e-9)).to_dict()
-        json.dumps(data)
+        json.dumps(data, allow_nan=False)
         assert data["total"] == 1
+        # fully mixed: no boundary player, so no margin
+        assert data["equilibria"][0]["margin"] is None
         assert data["config"] == {
             "residual_tol": 1e-9,
             "margin_tol": 1e-12,
@@ -131,7 +144,7 @@ class TestHomotopy:
             free0 = [i - 1 for i in sp.free_players]
             coeffs = solver._face_coefficients(vertex, [sp])[0]
             x = rng.uniform(-1, 2, size=(3, len(free0)))
-            M, _ = solver._monomials(x)
+            M = solver._monomials(x)
             for point, values in zip(x, M @ coeffs.T):
                 gamma = sp.fixed_gamma()
                 gamma[free0] = point
@@ -143,26 +156,54 @@ class TestHomotopy:
                 assert not coeffs[i, [s for s in range(M.shape[1]) if s & bit]].any()
 
     def test_monomial_gradients_match_finite_differences(self):
-        x = np.array([[0.3 + 0.2j, -1.1 + 0.5j, 2.0 - 0.1j]])
-        M, dM = solver._monomials(x)
+        # the gather S -> S without k, checked at every bit position k
+        rng = np.random.default_rng(0)
         h = 1e-7
-        for k in range(3):
-            shifted = x.copy()
-            shifted[0, k] += h
-            assert np.allclose((solver._monomials(shifted)[0] - M) / h, dM[:, k], atol=1e-6)
+        for r in range(1, 7):
+            x = rng.uniform(-2, 2, size=(4, r)) + 1j * rng.uniform(-1, 1, size=(4, r))
+            M = solver._monomials(x)
+            dM = solver._gradients(M)
+            assert dM.shape == (4, r, 2**r)
+            # bit masks with the first player most significant
+            members = [[j for j in range(r) if S >> (r - 1 - j) & 1] for S in range(2**r)]
+            assert np.allclose(M, [[np.prod(p[js]) for js in members] for p in x])
+            for k in range(r):
+                shifted = x.copy()
+                shifted[:, k] += h
+                assert np.allclose((solver._monomials(shifted) - M) / h, dM[:, k], atol=1e-6)
 
     def test_singular_jacobian_gives_nan_for_its_path_only(self):
         # F = (x2 - 1, x1 - 2) has an invertible Jacobian; F = (x2, 0) does not
         C = np.array([[[-1.0, 1, 0, 0], [-2, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 0]]])
-        step = solver._linearized(C, C, np.zeros((2, 2)))
+        M = solver._monomials(np.zeros((2, 2)))
+        inverse = solver._inverse(solver._jacobian(C, M))
+        step = solver._step(inverse, C, M)
         assert np.allclose(step[0], [2, 1])
-        assert np.isnan(step[1]).all()
+        assert np.isnan(inverse[1]).all() and np.isnan(step[1]).all()
+
+    def test_two_factorizations_per_round(self, monkeypatch):
+        # the chord corrector and the carried tangent leave one inverse for
+        # k2 and one for both corrections; the first is taken once, at t = 0
+        calls = []
+        inverse = solver._inverse
+        monkeypatch.setattr(solver, "_inverse", lambda J: calls.append(len(J)) or inverse(J))
+        # a step spans at most 1/4, so no path ends within three rounds
+        monkeypatch.setattr(solver, "_MAX_ROUNDS", 3)
+        vertex = solver._vertex_differences(maximal_game(4))
+        supports = [sp for sp in all_supports(4) if len(sp.free_players) == 4]
+        target = solver._face_coefficients(vertex, supports)
+        start, roots = solver._start_system(4)
+        per_path = np.repeat(target, len(roots), axis=0)
+        _, reached, _ = solver._track(per_path, start, roots, 1)
+        assert not reached.any()
+        assert calls == [len(roots)] * (1 + 2 * 3)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_start_roots_are_the_derangements(self, r):
         coeffs, roots = solver._start_system(r)
         assert len(roots) == subfactorial(r)
-        M, dM = solver._monomials(roots)
+        M = solver._monomials(roots)
+        dM = solver._gradients(M)
         assert np.abs(M @ coeffs.T).max() < 1e-12
         # every start root is regular, so every path starts well defined
         jac = np.einsum("is,pks->pik", coeffs, dM)
