@@ -42,6 +42,10 @@ from .solver import (
 PASS, FAIL, USAGE = 0, 1, 2
 
 
+class UsageError(Exception):
+    """Bad input that argparse cannot see: ``main`` prints it and exits 2."""
+
+
 def parse_permutation(text: str, m: int) -> Permutation:
     """Parse 'id', cycle notation like '(1 3)(2 4)', or one-line '3,2,1'."""
     text = text.strip()
@@ -109,35 +113,35 @@ def cmd_table(args) -> int:
 
 def cmd_construct(args) -> int:
     m = args.m
-    v = tuple(int(b) for b in args.v) if args.v else (0,) * m
-    if len(v) != m or any(b not in (0, 1) for b in v):
-        print(f"error: --v must be a bit string of length {m}", file=sys.stderr)
-        return USAGE
+    bits = args.v or "0" * m
+    if not re.fullmatch(f"[01]{{{m}}}", bits):
+        raise UsageError(f"--v must be a bit string of length {m}")
+    v = tuple(int(b) for b in bits)
     try:
         sigma = _parse_sigma(args.sigma, m)
         ctuple = CharacteristicTuple(v=v, sigma=sigma)
         game = build_product_game(ctuple)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        raise UsageError(exc) from exc
     save_game(game, args.out)
     print(f"wrote {args.out}: m={m} v={''.join(map(str, v))} sigma={args.sigma}")
     return PASS
 
 
-def _load_product(path) -> ProductTwoActionGame:
-    game = load_game(path)
-    if not isinstance(game, ProductTwoActionGame):
-        raise ValueError("file does not hold an exact-mode product game")
+def _read_game(path, product: bool = True):
+    """The game in a file; an unreadable file, or a float game where a
+    product game is needed, is a UsageError."""
+    try:
+        game = load_game(path)
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(exc) from exc
+    if product and not isinstance(game, ProductTwoActionGame):
+        raise UsageError("file does not hold an exact-mode product game")
     return game
 
 
 def cmd_candidates(args) -> int:
-    try:
-        game = _load_product(args.game)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    game = _read_game(args.game)
     entries = []
     lines = []
     for cand in enumerate_candidates(game):
@@ -157,11 +161,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        game = _load_product(args.game)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    game = _read_game(args.game)
     try:
         report = census(game, method=args.method)
     except MethodDisagreement as exc:
@@ -211,11 +211,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_solve(args) -> int:
-    try:
-        game = load_game(args.game)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    game = _read_game(args.game, product=False)
     report = solve_all(game, _solver_config(args))
     data = report.to_dict()
     lines = [f"m={report.m} equilibria={report.total} census={report.face_census}"]
@@ -242,11 +238,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    try:
-        game = _load_product(args.game)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    game = _read_game(args.game)
     report = verify_deformation(
         game, args.epsilon, args.trials, args.seed, _solver_config(args)
     )
@@ -265,6 +257,7 @@ def cmd_scan(args) -> int:
     data = report.to_dict()
     text = (
         f"m={report.m} trials={report.trials}: {len(report.violations)} violations, "
+        f"{len(report.paired_excess)} above the product-game bound, "
         f"{report.even_count_failures} parity failures, "
         f"{report.regenerations} regenerations, totals {data['totals_histogram']}\n"
     )
@@ -277,6 +270,22 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -294,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def solver_flags(p):
-        p.add_argument("--residual-tol", type=float, default=1e-10)
+        p.add_argument("--residual-tol", type=positive_float, default=1e-10)
         p.add_argument("--threads", type=positive_int, default=1)
 
     def trial_flags(p, default_trials):
         p.add_argument("--trials", type=positive_int, default=default_trials)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("table", help="print !m, candidate totals and maximal counts")
     common(p, needs_m=True)
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     common(p)
     solver_flags(p)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=positive_float, default=1e-3)
     trial_flags(p, 20)
     p.set_defaults(func=cmd_deform)
 
@@ -354,10 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "construct" and not args.out:
-        print("error: construct requires --out", file=sys.stderr)
+    try:
+        if args.command == "construct" and not args.out:
+            raise UsageError("construct requires --out")
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import candidates_on_face_class, enumerate_derangements, subfactorial
+from .combinatorics import candidates_on_face_class, enumerate_derangements
 from .game_model import FLOAT, ProductTwoActionGame, TwoActionGame, perturb
 
 ZERO, ONE, FREE = "zero", "one", "free"
@@ -470,6 +470,10 @@ def solve_all(
 
 # -- deformation stability ---------------------------------------------------
 
+# A baseline equilibrium with no perturbed equilibrium this close (max norm)
+# is a tracking failure.
+_TRACK_TOL = 0.05
+
 
 @dataclass
 class DeformationReport:
@@ -502,7 +506,6 @@ def verify_deformation(
     trials: int,
     seed: int,
     config: SolverConfig = SolverConfig(),
-    track_tol: float = 0.05,
 ) -> DeformationReport:
     """Perturb the game repeatedly and check the equilibrium count is stable.
 
@@ -510,7 +513,7 @@ def verify_deformation(
     every root, so no start points are carried over), compares its total
     with the exact equilibria of the unperturbed game and records how far
     each of them moved.  A baseline equilibrium with no perturbed
-    equilibrium within ``track_tol`` counts as a tracking failure.
+    equilibrium within _TRACK_TOL counts as a tracking failure.
     """
     from .candidate_engine import equilibria as exact_equilibria
 
@@ -538,7 +541,7 @@ def verify_deformation(
                 ),
                 default=np.inf,
             )
-            if drift > track_tol:
+            if drift > _TRACK_TOL:
                 tracked = False
             else:
                 max_drift = max(max_drift, drift)
@@ -566,72 +569,76 @@ class InequalityCheck:
     m: int
     census: list[int]
     rows: list[dict]
-    vertex_bound_ok: bool
-    interior_bound_ok: bool
-    near_vertex_empty: bool
 
     @property
     def all_ok(self) -> bool:
-        return (
-            all(row["ok"] for row in self.rows)
-            and self.vertex_bound_ok
-            and self.interior_bound_ok
-            and self.near_vertex_empty
-        )
+        return all(row["ok"] for row in self.rows)
+
+    @property
+    def paired_excess(self) -> list[int]:
+        """The classes l whose count is above the product-game bound."""
+        return [row["l"] for row in self.rows if row["count"] > row["paired"]]
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["cumulative"] = data.pop("rows")
-        return dict(data, all_ok=self.all_ok)
+        return dict(
+            dataclasses.asdict(self), all_ok=self.all_ok, paired_excess=self.paired_excess
+        )
 
 
 def check_inequalities(census: Sequence[int], m: int) -> InequalityCheck:
-    """Cumulative face-class bounds on an equilibrium census.
+    """Check each face class of the equilibrium census of a generic game.
 
-    For each d, the number of equilibria with at most d boundary coordinates
-    may not exceed !m plus the half-candidate counts of the face classes
-    1..d.  Also checks the individual bounds: at most !m interior equilibria,
-    none with exactly m-1 boundary coordinates, at most 2^(m-1) vertices.
+    Row l holds the number of equilibria with l boundary coordinates, its
+    ``bound`` and ``ok = count <= bound``; ``all_ok`` holds when every row
+    is ok.  The bound is the McKelvey-McLennan bound (J. Econ. Theory 1997)
+    on each face: a face with r = m - l free players holds at most !r
+    isolated equilibria, so class l holds at most
+    candidates_on_face_class(m, l) = C(m, l) 2^l !(m - l).  That is !m at
+    l = 0, and 0 at l = m - 1 because !1 = 0: the one free player's equation
+    does not contain its own variable.  At l = m the bound is 2^(m-1): two
+    pure equilibria that differ only in player i's action would leave i
+    indifferent, which a generic game excludes, so the pure equilibria are
+    an independent set of the m-cube.
+
+    ``paired`` is the product-game bound, reported but not checked.  In a
+    product game the faces {gamma_i = 0} and {gamma_i = 1} share one
+    threshold, whose sign selects one of them, so at most half of the
+    candidates of each class l >= 1 are equilibria; with !m at l = 0 it sums
+    to maximal_equilibrium_count(m) = (V(m) + !m) / 2.  A generic game can
+    exceed it: census [2, 4, 0, 1] at m = 3 is above it at l = 1.
     """
     census = list(census)
     if len(census) != m + 1:
         raise ValueError(f"census must have {m + 1} entries")
     rows = []
-    bound = subfactorial(m)
-    lhs = 0
-    for d in range(m + 1):
-        lhs += census[d]
-        if d >= 1:
-            bound += candidates_on_face_class(m, d) // 2
-        rows.append({"d": d, "count": lhs, "bound": bound, "ok": lhs <= bound})
-    return InequalityCheck(
-        m=m,
-        census=census,
-        rows=rows,
-        vertex_bound_ok=census[m] <= 2 ** (m - 1),
-        interior_bound_ok=census[0] <= subfactorial(m),
-        near_vertex_empty=(m < 2 or census[m - 1] == 0),
-    )
+    for l, count in enumerate(census):
+        candidates = candidates_on_face_class(m, l)
+        bound = candidates if l < m else 2 ** (m - 1)
+        paired = candidates if l == 0 else candidates // 2
+        rows.append(
+            {"l": l, "count": count, "bound": bound, "paired": paired, "ok": count <= bound}
+        )
+    return InequalityCheck(m=m, census=census, rows=rows)
 
 
 # -- randomized scans --------------------------------------------------------
 
+# A random game is drawn again while a payoff difference at a vertex is
+# within _DEGENERACY_TOL of zero, at most _MAX_REGEN times.
+_DEGENERACY_TOL = 1e-8
+_MAX_REGEN = 100
 
-def random_generic_game(
-    m: int,
-    rng: np.random.Generator,
-    degeneracy_tol: float = 1e-8,
-    max_regen: int = 100,
-) -> TwoActionGame:
+
+def random_generic_game(m: int, rng: np.random.Generator) -> TwoActionGame:
     """A float game with i.i.d. uniform [-1,1] utilities, degeneracy-guarded.
 
     Regenerates while any payoff difference at a vertex is within
-    ``degeneracy_tol`` of zero.
+    _DEGENERACY_TOL of zero.
     """
-    for _ in range(max_regen):
+    for _ in range(_MAX_REGEN):
         tables = rng.uniform(-1.0, 1.0, size=(m, 2**m))
         game = TwoActionGame(m, tables.tolist(), mode=FLOAT)
-        if np.abs(_vertex_differences(game)).min() > degeneracy_tol:
+        if np.abs(_vertex_differences(game)).min() > _DEGENERACY_TOL:
             return game
     raise RuntimeError("could not draw a non-degenerate game")
 
@@ -641,6 +648,7 @@ class ScanReport:
     m: int
     trials: int
     violations: list[dict]
+    paired_excess: list[dict]
     even_count_failures: int
     regenerations: int
     totals_histogram: dict[int, int]
@@ -669,12 +677,16 @@ def scan_inequalities(
     An even equilibrium total indicates a missed root or a degenerate draw;
     the game is regenerated up to ``max_retries`` times before the trial is
     recorded as a failure.  Inequality violations are always recorded, never
-    dropped.
+    dropped, and so is every game above the product-game bound
+    (``paired_excess``), which a generic game may be.  The games are drawn
+    one after another from one generator, so (seed, trial) replays a trial:
+    it is the last game of ``scan_inequalities(m, trial + 1, seed)``.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
+    paired_excess: list[dict] = []
     even_failures = regenerations = failed_paths = 0
     histogram: dict[int, int] = {}
     for trial in range(trials):
@@ -691,10 +703,13 @@ def scan_inequalities(
         check = check_inequalities(report.face_census, m)
         if not check.all_ok:
             violations.append({"trial": trial, "check": check.to_dict()})
+        if check.paired_excess:
+            paired_excess.append({"trial": trial, "census": report.face_census})
     return ScanReport(
         m=m,
         trials=trials,
         violations=violations,
+        paired_excess=paired_excess,
         even_count_failures=even_failures,
         regenerations=regenerations,
         totals_histogram=histogram,

@@ -291,14 +291,17 @@ def test_criterion_7_deformation_stability():
 def test_criterion_8_inequality_scan():
     ok = True
     try:
-        # the m=3 cumulative bounds are 2, 5, 5, 9
-        bounds = [row["bound"] for row in check_inequalities([0, 0, 0, 0], 3).rows]
-        assert bounds == [2, 5, 5, 9]
+        # per face class at m = 3: the McKelvey-McLennan bound on each face
+        # (2^(m-1) pure equilibria), and the product-game pairing it reports
+        rows = check_inequalities([0, 0, 0, 0], 3).rows
+        assert [row["bound"] for row in rows] == [2, 6, 0, 4]
+        assert [row["paired"] for row in rows] == [2, 3, 0, 4]
         report = scan_inequalities(3, trials=SCAN_TRIALS, seed=8)
         assert report.violations == []
         assert report.even_count_failures == 0
         assert sum(report.totals_histogram.values()) == SCAN_TRIALS
         assert all(total % 2 == 1 for total in report.totals_histogram)
+        # 9 = (V(3) + !3) / 2, the count of the paper's maximal m = 3 game
         assert all(total <= 9 for total in report.totals_histogram)
     except AssertionError:
         ok = False

@@ -228,6 +228,7 @@ class TestDeformScan:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["violations"] == []
+        assert data["paired_excess"] == []
         assert data["even_count_failures"] == 0
 
 
@@ -250,6 +251,30 @@ class TestInputValidation:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--m", "3", "--v", "0a1", "--out", "g.json"], "--v must be a bit"),
+            (["deform", "game.json", "--epsilon", "-1"], "--epsilon: must be a finite number > 0"),
+            (["deform", "game.json", "--epsilon", "0"], "--epsilon: must be a finite number > 0"),
+            (["solve", "game.json", "--residual-tol", "-1"], "--residual-tol: must be a finite"),
+            (["scan", "--m", "2", "--seed", "-1"], "--seed: must be >= 0"),
+            (["deform", "game.json", "--seed", "x"], "--seed: invalid non_negative_int value"),
+            (["classify", "missing-game.json"], "No such file"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, argv, message, capsys):
+        # argparse exits through SystemExit, the subcommands return the code
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize(
         "argv",

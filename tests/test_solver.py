@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from twoaction.candidate_engine import equilibria
-from twoaction.game_model import FLOAT, TwoActionGame, maximal_game, perturb
+from twoaction.candidate_engine import census, equilibria
+from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
-from twoaction.combinatorics import subfactorial
+from twoaction.combinatorics import maximal_equilibrium_count, subfactorial
 from twoaction.solver import (
     PATH_STATES,
     SolverConfig,
@@ -213,7 +213,7 @@ class TestHomotopy:
 
 class TestPathAccounting:
     def test_counterexample_census(self):
-        # the generic m = 3 game that breaks the halved bound at d = 1;
+        # the generic m = 3 game above the product-game bound at l = 1;
         # this pins that the solver finds all seven of its equilibria
         game = random_generic_game(3, np.random.default_rng(6153263537864010520))
         report = solve_all(game)
@@ -286,27 +286,50 @@ class TestDeformation:
 
 class TestInequalities:
     def test_maximal_census_is_tight(self):
-        # the maximal game meets every cumulative bound with equality
-        for m in (2, 3, 4):
-            from twoaction.candidate_engine import census
-
+        # the maximal game meets the product-game bound in every class
+        for m in range(2, 7):
             report = census(maximal_game(m), method="increment")
             check = check_inequalities(report.equilibria_per_class, m)
             assert check.all_ok
-            assert all(row["count"] == row["bound"] for row in check.rows)
+            assert all(row["count"] == row["paired"] for row in check.rows)
+            assert check.paired_excess == []
 
     def test_m3_bounds(self):
         check = check_inequalities([2, 3, 0, 4], 3)
-        assert [row["bound"] for row in check.rows] == [2, 5, 5, 9]
+        assert [row["bound"] for row in check.rows] == [2, 6, 0, 4]
+        assert [row["paired"] for row in check.rows] == [2, 3, 0, 4]
 
     def test_violations_detected(self):
         assert not check_inequalities([3, 0, 0, 0], 3).all_ok  # interior > !3
         assert not check_inequalities([0, 0, 1, 0], 3).all_ok  # near-vertex class
         assert not check_inequalities([0, 0, 0, 5], 3).all_ok  # > 2^(m-1) vertices
+        assert not check_inequalities([0, 7, 0, 0], 3).all_ok  # > 3 * 2 * !2 on l = 1
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             check_inequalities([1, 2], 3)
+
+    def test_counterexample_is_within_the_bound_and_above_the_pairing(self):
+        check = check_inequalities([2, 4, 0, 1], 3)
+        assert check.all_ok
+        assert check.paired_excess == [1]
+        data = check.to_dict()
+        assert data["all_ok"] is True and data["paired_excess"] == [1]
+        assert [row["l"] for row in data["rows"]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_paired_sums_to_the_maximal_count(self, m):
+        check = check_inequalities([0] * (m + 1), m)
+        assert sum(row["paired"] for row in check.rows) == maximal_equilibrium_count(m)
+
+    def test_product_games_stay_within_the_pairing(self, random_characteristic_tuple):
+        rng = random.Random(2024)
+        for _ in range(30):
+            m = rng.randint(1, 6)
+            game = build_product_game(random_characteristic_tuple(m, rng))
+            report = census(game, method="increment")
+            assert report.counted_by == "kernel"
+            assert check_inequalities(report.equilibria_per_class, m).paired_excess == []
 
 
 class TestRandomScan:
@@ -322,6 +345,14 @@ class TestRandomScan:
         assert report.even_count_failures == 0
         assert sum(report.totals_histogram.values()) == 10
         assert all(total % 2 == 1 for total in report.totals_histogram)
+
+    @pytest.mark.parametrize("seed", [6153263537864010520, 2079473014072234896])
+    def test_scan_passes_the_generic_counterexample(self, seed):
+        # census [2, 4, 0, 1]: within every per-face bound, above the pairing
+        report = scan_inequalities(3, 1, seed)
+        assert report.all_ok
+        assert report.violations == []
+        assert report.paired_excess == [{"trial": 0, "census": [2, 4, 0, 1]}]
 
     def test_scan_rejects_negative_retries(self):
         with pytest.raises(ValueError, match="max_retries"):
