@@ -314,22 +314,20 @@ class CensusReport:
 
 
 def census(
-    game: ProductTwoActionGame, method: Method = "both", use_kernel: bool | None = None
+    game: ProductTwoActionGame, method: Method = "both", use_kernel: bool = True
 ) -> CensusReport:
     """Count candidates and equilibria per face class.
 
     With ``method="increment"`` the census kernel counts them from the
     characteristic tuple (set ``use_kernel=False`` to classify every
-    candidate instead); the other methods always classify every candidate,
-    since the sign route reads the threshold values, which the kernel never
-    sees.  Raises
+    candidate instead).  ``use_kernel`` only matters for ``increment``: the
+    other methods always classify every candidate, since the sign route
+    reads the threshold values, which the kernel never sees.  Raises
     ``MethodDisagreement`` if the routes of ``method="both"`` differ on a
     candidate, and ``RuntimeError`` if the candidate counts per face class
     differ from ``candidates_on_face_class``.
     """
     m = game.m
-    if use_kernel is None:
-        use_kernel = method == "increment"
     counted_by = "kernel" if use_kernel and method == "increment" else "streaming"
     if counted_by == "kernel":
         v = list(game.ctuple.v)

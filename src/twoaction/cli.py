@@ -14,6 +14,7 @@ import sys
 
 from . import kernel
 from .candidate_engine import (
+    METHODS,
     MethodDisagreement,
     census,
     enumerate_candidates,
@@ -76,17 +77,18 @@ def _parse_sigma(spec: str, m: int) -> tuple[Permutation, ...]:
 
 
 def _emit(args, text: str, data: dict, csv_rows: list[list] | None = None) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         payload = json.dumps(data, indent=1, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else [[k, v] for k, v in data.items()]
-        payload = "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
+    elif args.format == "csv":
+        payload = "\n".join(",".join(str(cell) for cell in row) for row in csv_rows) + "\n"
     else:
         payload = text
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(exc) from exc
     else:
         sys.stdout.write(payload)
 
@@ -99,14 +101,7 @@ def cmd_table(args) -> int:
         row = (m, subfactorial(m), candidate_count(m), maximal_equilibrium_count(m))
         rows.append(list(row))
         lines.append(f"{row[0]:>3} {row[1]:>12} {row[2]:>14} {row[3]:>14}")
-        data.append(
-            {
-                "m": m,
-                "subfactorial": row[1],
-                "candidates": row[2],
-                "max_equilibria": row[3],
-            }
-        )
+        data.append(dict(zip(rows[0], row)))
     _emit(args, "\n".join(lines) + "\n", {"rows": data}, rows)
     return PASS
 
@@ -123,7 +118,10 @@ def cmd_construct(args) -> int:
         game = build_product_game(ctuple)
     except ValueError as exc:
         raise UsageError(exc) from exc
-    save_game(game, args.out)
+    try:
+        save_game(game, args.out)
+    except OSError as exc:
+        raise UsageError(exc) from exc
     print(f"wrote {args.out}: m={m} v={''.join(map(str, v))} sigma={args.sigma}")
     return PASS
 
@@ -133,7 +131,8 @@ def _read_game(path, product: bool = True):
     product game is needed, is a UsageError."""
     try:
         game = load_game(path)
-    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    # a JSON value of the wrong type, such as a string m, raises TypeError
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(exc) from exc
     if product and not isinstance(game, ProductTwoActionGame):
         raise UsageError("file does not hold an exact-mode product game")
@@ -296,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_m=False):
+    def common(p, needs_m=False, csv=False):
         if needs_m:
             p.add_argument("--m", type=positive_int, required=True, help="number of players")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        formats = ("text", "json", "csv") if csv else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def solver_flags(p):
@@ -311,11 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("table", help="print !m, candidate totals and maximal counts")
-    common(p, needs_m=True)
+    common(p, needs_m=True, csv=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("construct", help="write a product game file")
-    common(p, needs_m=True)
+    p.add_argument("--m", type=positive_int, required=True, help="number of players")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--v", default=None, help="sign bit string, e.g. 010 (default all 0)")
     p.add_argument(
         "--sigma",
@@ -332,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="exact census of a product game file")
     p.add_argument("game")
-    common(p)
-    p.add_argument("--method", choices=("increment", "sign", "both"), default="both")
+    common(p, csv=True)
+    p.add_argument("--method", choices=METHODS, default="both")
     p.add_argument("--expect-maximal", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -364,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "construct" and not args.out:
-            raise UsageError("construct requires --out")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,6 +76,10 @@ _INFINITY = 1e8
 # below it, an endpoint is real when its imaginary parts are below it, and
 # two endpoints closer than it are the same point.
 _ENDPOINT_TOL = 1e-8
+# An equilibrium's boundary players must prefer their action by at least
+# _MARGIN_TOL; below _NEAR_DEGENERATE_TOL it is flagged near-degenerate.
+_MARGIN_TOL = 1e-12
+_NEAR_DEGENERATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,6 @@ def all_supports(m: int):
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-10
-    margin_tol: float = 1e-12
-    near_degenerate_tol: float = 1e-8
     threads: int = 1
 
 
@@ -328,8 +330,8 @@ def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.nd
 
 def _solve_batch(
     vertex: np.ndarray, supports: Sequence[SupportProfile], config: SolverConfig
-) -> list[tuple[list[SolverEquilibrium], dict]]:
-    """Equilibria and statistics of supports that all have the same r."""
+) -> tuple[list[SolverEquilibrium], dict]:
+    """Equilibria and statistics (``solve_all``'s keys) of supports with the same r."""
     n, r = len(supports), len(supports[0].free_players)
     coeffs = _face_coefficients(vertex, supports)
     free = np.array([sp.free_players for sp in supports], dtype=int).reshape(n, r) - 1
@@ -363,30 +365,28 @@ def _solve_batch(
     unproven = residual > config.residual_tol
     state[sup[unproven], path[unproven]] = _FAILED
 
-    solutions: list[list[SolverEquilibrium]] = [[] for _ in supports]
+    solutions: list[SolverEquilibrium] = []
     for s, point, res, mar in zip(sup, points, residual, margin):
-        if res <= config.residual_tol and mar >= config.margin_tol:
+        if res <= config.residual_tol and mar >= _MARGIN_TOL:
             gamma = supports[s].fixed_gamma()
             gamma[free[s]] = point
-            solutions[s].append(
+            solutions.append(
                 SolverEquilibrium(
                     gamma=tuple(float(g) for g in gamma),
                     support=supports[s],
                     residual=float(res),
                     margin=float(mar),
-                    near_degenerate=bool(mar < config.near_degenerate_tol),
+                    near_degenerate=bool(mar < _NEAR_DEGENERATE_TOL),
                 )
             )
+    # r = 0 tracks no path: its one state is the vertex candidate's
     paths = state if r >= 2 else state[:, :0]
-    results = []
-    for s in range(n):
-        counts = np.bincount(paths[s], minlength=len(PATH_STATES))
-        stats = {"starts": paths.shape[1], "converged": int(counts[:_DIVERGED].sum())}
-        stats["retracked"] = paths.shape[1] * int(redo[s])
-        stats.update(zip(PATH_STATES, counts.tolist()))
-        stats["degenerate"] = bool(degenerate[s])
-        results.append((sorted(solutions[s], key=lambda eq: eq.gamma), stats))
-    return results
+    counts = np.bincount(paths.ravel(), minlength=len(PATH_STATES))
+    stats = {"starts": paths.size, "converged": int(counts[:_DIVERGED].sum())}
+    stats["retracked"] = paths.shape[1] * int(redo.sum())
+    stats.update(zip(PATH_STATES, counts.tolist()))
+    stats["degenerate_supports"] = int(degenerate.sum())
+    return sorted(solutions, key=lambda eq: eq.gamma), stats
 
 
 def solve_support(
@@ -394,8 +394,9 @@ def solve_support(
     support: SupportProfile,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[list[SolverEquilibrium], dict]:
-    """Equilibria whose support is exactly the given profile, plus statistics."""
-    return _solve_batch(_vertex_differences(game), [support], config)[0]
+    """Equilibria whose support is exactly the given profile, plus its
+    statistics, with the keys of ``solve_all``'s."""
+    return _solve_batch(_vertex_differences(game), [support], config)
 
 
 @dataclass
@@ -452,16 +453,11 @@ def solve_all(
         mapper = pool.map if config.threads > 1 else map
         batches = list(mapper(lambda group: _solve_batch(vertex, group, config), groups))
 
-    equilibria: list[SolverEquilibrium] = []
-    totals = dict.fromkeys(("starts", "converged", "retracked", *PATH_STATES), 0)
-    totals["degenerate_supports"] = 0
-    for solutions, stats in itertools.chain.from_iterable(batches):
-        stats = dict(stats, degenerate_supports=int(stats["degenerate"]))
-        for key in totals:
-            totals[key] += stats[key]
-        equilibria.extend(solutions)
-
-    equilibria.sort(key=lambda eq: eq.gamma)
+    equilibria = sorted(
+        itertools.chain.from_iterable(solutions for solutions, _ in batches),
+        key=lambda eq: eq.gamma,
+    )
+    totals = {key: sum(stats[key] for _, stats in batches) for key in batches[0][1]}
     census = [0] * (m + 1)
     for eq in equilibria:
         census[eq.face_class] += 1
@@ -627,6 +623,9 @@ def check_inequalities(census: Sequence[int], m: int) -> InequalityCheck:
 # within _DEGENERACY_TOL of zero, at most _MAX_REGEN times.
 _DEGENERACY_TOL = 1e-8
 _MAX_REGEN = 100
+# A scan trial with an even equilibrium total is drawn again at most
+# _MAX_RETRIES times.
+_MAX_RETRIES = 4
 
 
 def random_generic_game(m: int, rng: np.random.Generator) -> TwoActionGame:
@@ -670,27 +669,24 @@ def scan_inequalities(
     trials: int,
     seed: int,
     config: SolverConfig = SolverConfig(),
-    max_retries: int = 4,
 ) -> ScanReport:
     """Solve many random generic games and check the face-class inequalities.
 
     An even equilibrium total indicates a missed root or a degenerate draw;
-    the game is regenerated up to ``max_retries`` times before the trial is
+    the game is regenerated up to _MAX_RETRIES times before the trial is
     recorded as a failure.  Inequality violations are always recorded, never
     dropped, and so is every game above the product-game bound
     (``paired_excess``), which a generic game may be.  The games are drawn
     one after another from one generator, so (seed, trial) replays a trial:
     it is the last game of ``scan_inequalities(m, trial + 1, seed)``.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     paired_excess: list[dict] = []
     even_failures = regenerations = failed_paths = 0
     histogram: dict[int, int] = {}
     for trial in range(trials):
-        for attempt in range(max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             game = random_generic_game(m, rng)
             report = solve_all(game, config)
             failed_paths += report.stats["failed"]

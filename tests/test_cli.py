@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -5,6 +6,15 @@ import pytest
 from twoaction import candidate_engine, solver
 from twoaction.cli import main, parse_permutation
 from twoaction.combinatorics import Permutation
+
+
+# Game files whose JSON values have the wrong type.
+BAD_GAME_FILES = {
+    "utilities-number.json": {"m": 2, "mode": "float", "utilities": 5},
+    "list.json": [1, 2],
+    "string-m.json": {"m": "2", "mode": "float", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
+    "null-utility.json": {"m": 2, "mode": "float", "utilities": [[None, 0, 0, 0], [0] * 4]},
+}
 
 
 class TestParsePermutation:
@@ -49,6 +59,17 @@ class TestTable:
         assert lines[0] == "m,subfactorial,candidates,max_equilibria"
         assert lines[2] == "2,1,5,3"
 
+    def test_csv_rows_match_the_header(self, tmp_path, capsys):
+        game = tmp_path / "g4.json"
+        assert main(["construct", "--m", "4", "--out", str(game)]) == 0
+        capsys.readouterr()
+        # one row per m = 1..4, and one per face class l = 0..4
+        for argv, count in ((["table", "--m", "4"], 4), (["classify", str(game)], 5)):
+            assert main(argv + ["--format", "csv"]) == 0
+            header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+            assert len(rows) == count
+            assert all(len(row) == len(header) for row in rows)
+
 
 class TestConstructClassifySolve:
     def test_pipeline(self, tmp_path, capsys):
@@ -80,7 +101,10 @@ class TestConstructClassifySolve:
         assert data["total"] == 9
 
     def test_construct_requires_out(self, capsys):
-        assert main(["construct", "--m", "3"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--m", "3"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_construct_rejects_bad_v(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -262,9 +286,21 @@ class TestInputValidation:
             (["scan", "--m", "2", "--seed", "-1"], "--seed: must be >= 0"),
             (["deform", "game.json", "--seed", "x"], "--seed: invalid non_negative_int value"),
             (["classify", "missing-game.json"], "No such file"),
+            (["table", "--m", "2", "--out", "missing-dir/t.txt"], "No such file"),
+            (["construct", "--m", "2", "--out", "missing-dir/g.json"], "No such file"),
+            (["solve", "utilities-number.json"], "'int' object is not iterable"),
+            (["solve", "list.json"], "list indices must be integers"),
+            (["solve", "string-m.json"], "'<' not supported"),
+            (["solve", "null-utility.json"], "float() argument must be"),
         ],
     )
-    def test_bad_input_exits_2_with_one_error_line(self, argv, message, capsys):
+    def test_bad_input_exits_2_with_one_error_line(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        # relative paths resolve in an empty directory holding the bad game files
+        monkeypatch.chdir(tmp_path)
+        for name, data in BAD_GAME_FILES.items():
+            (tmp_path / name).write_text(json.dumps(data))
         # argparse exits through SystemExit, the subcommands return the code
         try:
             code = main(argv)
@@ -288,6 +324,7 @@ class TestInputValidation:
             ["solve", "game.json", "--dedup-tol", "1e-6"],
             ["deform", "game.json", "--starts", "12"],
             ["scan", "--m", "2", "--dedup-tol", "1e-6"],
+            ["construct", "--m", "2", "--out", "g.json", "--format", "json"],
         ],
     )
     def test_unused_knobs_are_rejected(self, argv, capsys):
@@ -295,3 +332,18 @@ class TestInputValidation:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["candidates", "game.json"],
+            ["solve", "game.json"],
+            ["deform", "game.json"],
+            ["scan", "--m", "2"],
+        ],
+    )
+    def test_csv_only_where_there_is_a_table(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
