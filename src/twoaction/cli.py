@@ -131,7 +131,7 @@ def _read_game(path, product: bool = True):
     product game is needed, is a UsageError."""
     try:
         game = load_game(path)
-    # a JSON value of the wrong type, such as a string m, raises TypeError
+    # a file whose top level is not a JSON object raises TypeError
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(exc) from exc
     if product and not isinstance(game, ProductTwoActionGame):

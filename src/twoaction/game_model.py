@@ -134,16 +134,58 @@ class TwoActionGame:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TwoActionGame":
-        mode = data["mode"]
-        if mode == EXACT:
-            tables = [[Fraction(u) for u in t] for t in data["utilities"]]
-        else:
-            tables = data["utilities"]
-        return cls(data["m"], tables, mode=mode)
+        m = _json_field(data, "m", int)
+        mode = _json_field(data, "mode", str)
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"key 'mode' must be {EXACT!r} or {FLOAT!r}, not {mode!r}")
+        cast = Fraction if mode == EXACT else float
+        tables = []
+        for i, texts in enumerate(_json_field(data, "utilities", list)):
+            if not isinstance(texts, list):
+                raise ValueError(f"key 'utilities[{i}]' must be a list, not {_json_type(texts)}")
+            table = []
+            for k, text in enumerate(texts):
+                try:
+                    table.append(cast(text))
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(f"key 'utilities[{i}][{k}]': {exc}") from None
+            tables.append(table)
+        return cls(m, tables, mode=mode)
 
 
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+_JSON_TYPES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _json_field(data: Mapping, key: str, kind: type, name: str | None = None):
+    """``data[key]`` of a game file, checked to be of JSON type ``kind``.
+
+    A missing key or a value of another type is a ValueError naming the key
+    (``name``, when it sits in a nested object).
+    """
+    name = key if name is None else name
+    try:
+        value = data[key]
+    except KeyError:
+        raise ValueError(f"missing key {name!r}") from None
+    if type(value) is not kind:
+        raise ValueError(f"key {name!r} must be {_JSON_TYPES[kind]}, not {_json_type(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -227,8 +269,11 @@ class CoefficientMatrix:
     def from_dict(cls, m: int, data: Mapping[str, str]) -> "CoefficientMatrix":
         values = {}
         for key, text in data.items():
-            i, j = (int(part) for part in key.split(","))
-            values[(i, j)] = Fraction(text)
+            try:
+                i, j = (int(part) for part in key.split(","))
+                values[(i, j)] = Fraction(text)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"coefficient key {key!r}: {exc}") from None
         return cls(m, values)
 
 
@@ -333,24 +378,32 @@ class ProductTwoActionGame:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProductTwoActionGame":
-        product = data["product"]
-        ctuple = CharacteristicTuple(
-            v=tuple(product["v"]),
-            sigma=tuple(Permutation(images) for images in product["sigma"]),
-        )
-        coeffs = CoefficientMatrix.from_dict(data["m"], product["a"])
+        m = _json_field(data, "m", int)
+        product = _json_field(data, "product", dict)
+        v = _json_field(product, "v", list, "product.v")
+        sigma = _json_field(product, "sigma", list, "product.sigma")
+        try:
+            sigma = tuple(Permutation(images) for images in sigma)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"key 'product.sigma': {exc}") from None
+        ctuple = CharacteristicTuple(v=tuple(v), sigma=sigma)
+        coeffs = CoefficientMatrix.from_dict(m, _json_field(product, "a", dict, "product.a"))
         game = cls(ctuple, coeffs)
         # Sanity: the stored tensor must match the rebuilt one.  A stored
         # entry is parsed only when it is not spelled as the canonical n/d.
         if data["mode"] != EXACT:
             TwoActionGame.from_dict(data)
             return game
-        stored, rebuilt = data["utilities"], game.tensor.utilities
-        if [len(t) for t in stored] != [len(t) for t in rebuilt] or any(
-            text != _fraction_str(u) and Fraction(text) != u
-            for texts, table in zip(stored, rebuilt)
-            for text, u in zip(texts, table)
-        ):
+        stored, rebuilt = _json_field(data, "utilities", list), game.tensor.utilities
+        try:
+            agrees = [len(t) for t in stored] == [len(t) for t in rebuilt] and not any(
+                text != _fraction_str(u) and Fraction(text) != u
+                for texts, table in zip(stored, rebuilt)
+                for text, u in zip(texts, table)
+            )
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"key 'utilities': {exc}") from None
+        if not agrees:
             raise ValueError("stored tensor disagrees with the product block")
         return game
 

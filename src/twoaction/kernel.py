@@ -15,11 +15,19 @@ the walk over all m! permutations short.
   ``X = (1 + v) XOR M[0, pi(0)] XOR ... XOR M[m-1, pi(m-1)]`` is base_t.
   A permutation with fixed-point mask F passes iff ``X & F`` is 0 or F.
 
-Permutations are walked as an ``itertools`` prefix of length m - s times one
-table of the s! orderings of the remaining values, s = min(m, SUFFIX_LEN);
-the suffix XOR and fixed-point masks depend only on which values remain, so
-they are computed once per value set and reused for every ordering of the
-prefix.  No array has more than s! rows.
+Packed codes.  ``code[j, a]`` holds ``M[j, a]`` in its low m bits and, when
+``a == j``, bit ``m + j``; ``1 + v`` is folded into position 0.  The XOR of
+a permutation's codes is then X in the low m bits and F above them, since the
+fixed-point bits of different positions never overlap.  X and F take 2m bits,
+so with a sign bit int32 holds them up to m = 15 and int64 above.
+
+Permutations are walked as a prefix of the first m - s positions times a
+suffix of the last s = min(m, SUFFIX_LEN), split by the set of values the
+suffix takes.  For a chunk of such value sets the codes of every suffix
+ordering and of every prefix ordering are built once, and every (prefix,
+suffix) pair of the chunk is tested and tallied in one pass.  A chunk holds
+at most CHUNK_ROWS pairs: whole value sets while they fit, else one value
+set with its prefixes split, and never less than one prefix's s! orderings.
 """
 
 from __future__ import annotations
@@ -32,14 +40,28 @@ import numpy as np
 
 KERNEL = "numpy"
 
-SUFFIX_LEN = 7  # s! = 5040 rows per vector operation
+SUFFIX_LEN = 7  # s! = 5040 suffix orderings per value set
+CHUNK_ROWS = 1 << 15  # (prefix, suffix) pairs per vector operation
 
 
 @functools.cache
 def suffix_orders(s: int) -> np.ndarray:
     """All s! orderings of range(s): row c holds the value at position c."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(s)))
-    return np.fromiter(flat, dtype=np.int8, count=s * math.factorial(s)).reshape(-1, s).T.copy()
+    n = math.factorial(s)
+    return np.fromiter(flat, dtype=np.int8, count=s * n).reshape(n, s).T.copy()
+
+
+def _ordering_codes(codes: np.ndarray, sets: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Code of every ordering of each value set over the positions of ``codes``.
+
+    Row i, column c is the XOR over positions j of
+    ``codes[j, sets[i, orders[j, c]]]``.
+    """
+    out = np.zeros((len(sets), orders.shape[1]), dtype=codes.dtype)
+    for row, order in zip(codes, orders):
+        out ^= np.take(row[sets], order, axis=1)
+    return out
 
 
 def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
@@ -52,43 +74,44 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     """
     s = min(m, SUFFIX_LEN)
     p = m - s
+    dtype = np.int32 if 2 * m + 1 <= 32 else np.int64
     images = np.asarray(sigma, dtype=np.int64).reshape(m, m)
     bits = np.int64(1) << np.arange(m, dtype=np.int64)
-    # table[j, a] = M[j, a], the bitmask of players i with sigma_j(a) >= sigma_j(i)
-    table = ((images[:, :, None] >= images[:, None, :]) * bits).sum(axis=2)
-    table[np.arange(m), np.arange(m)] = 0
-    rows = table.tolist()
-    x0 = sum(1 << i for i in range(m) if not v[i])
+    # code[j, a]: M[j, a], the players i with sigma_j(a) >= sigma_j(i), and bit m + j if a == j
+    codes = ((images[:, :, None] >= images[:, None, :]) * bits).sum(axis=2)
+    codes[np.arange(m), np.arange(m)] = bits << m
+    codes[0] ^= sum(1 << i for i in range(m) if not v[i])
+    codes = codes.astype(dtype)
 
-    orders = suffix_orders(s)
-    perms = np.zeros(m + 1, dtype=np.int64)  # permutations per fixed-point count
-    passing = np.zeros(m + 1, dtype=np.int64)
-    for rest in itertools.combinations(range(m), s):
-        remaining = np.asarray(rest, dtype=np.int64)
-        suffix_x = np.zeros(orders.shape[1], dtype=np.int64)
-        suffix_f = np.zeros_like(suffix_x)
-        ks = np.zeros_like(suffix_x)
-        for j, order in enumerate(orders, start=p):
-            values = remaining[order]  # the value at position j, per ordering
-            suffix_x ^= table[j, values]
-            fixed = values == j
-            suffix_f |= fixed * bits[j]
-            ks += fixed
-        suffix_k = np.bincount(ks, minlength=s + 1)
-        head = [a for a in range(m) if a not in rest]
-        for prefix in itertools.permutations(head):
-            x, f = x0, 0
-            for j, a in enumerate(prefix):
-                x ^= rows[j][a]
-                if a == j:
-                    f |= 1 << j
-            k0 = f.bit_count()
-            mask = suffix_f | f
-            hit = (suffix_x ^ x) & mask
-            ok = (hit == 0) | (hit == mask)
-            perms[k0 : k0 + s + 1] += suffix_k
-            passing[k0 : k0 + s + 1] += np.bincount(ks[ok], minlength=s + 1)
+    # value sets of the suffix, and the values each leaves to the prefix
+    tails = list(itertools.combinations(range(m), s))
+    heads = np.array([[a for a in range(m) if a not in t] for t in tails], dtype=np.intp)
+    tails = np.array(tails, dtype=np.intp)
 
+    head_orders, tail_orders = suffix_orders(p), suffix_orders(s)
+    n_head, n_tail = head_orders.shape[1], tail_orders.shape[1]
+    sets_per_chunk = max(1, CHUNK_ROWS // (n_head * n_tail))
+    heads_per_chunk = max(1, CHUNK_ROWS // n_tail)
+    # tally[2F + ok]: permutations with fixed-point mask F that fail (ok = 0) or pass
+    tally = np.zeros(2 << m, dtype=np.int64)
+    for lo in range(0, len(tails), sets_per_chunk):
+        chunk = slice(lo, lo + sets_per_chunk)
+        head = _ordering_codes(codes[:p], heads[chunk], head_orders)
+        tail = _ordering_codes(codes[p:], tails[chunk], tail_orders)[:, None, :]
+        for a in range(0, n_head, heads_per_chunk):
+            pair = head[:, a : a + heads_per_chunk, None] ^ tail
+            fixed = pair >> m
+            hit = np.bitwise_and(pair, fixed, out=pair)
+            ok = hit == 0
+            ok |= hit == fixed
+            fixed <<= 1
+            fixed |= ok
+            tally += np.bincount(fixed.ravel(), minlength=2 << m)
+
+    # fold the masks F into their fixed-point counts k
+    by_k = np.zeros((m + 1, 2), dtype=np.int64)
+    np.add.at(by_k, np.bitwise_count(np.arange(1 << m)), tally.reshape(-1, 2))
+    perms, passing = by_k.sum(axis=1), by_k[:, 1]
     cand = [int(n) << k for k, n in enumerate(perms)]
     eq = [int(perms[0])] + [int(n) << (k - 1) for k, n in enumerate(passing) if k]
     return cand, eq

@@ -368,6 +368,37 @@ class TestPerturbAndSerialization:
         loaded = load_game(path)
         assert loaded.tensor.utilities == game.tensor.utilities
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("m",), "3", "key 'm' must be an integer, not a string"),
+            (("m",), True, "key 'm' must be an integer, not a boolean"),
+            (("product",), 5, "key 'product' must be an object, not an integer"),
+            (("product", "v"), "000", "key 'product.v' must be a list, not a string"),
+            (("product", "sigma"), 3, "key 'product.sigma' must be a list, not an integer"),
+            (("product", "sigma", 0), [1, "2", 3], "key 'product.sigma': "),
+            (("product", "a"), [], "key 'product.a' must be an object, not a list"),
+            (("product", "a", "1,2"), None, "coefficient key '1,2': "),
+            (("utilities", 0), 5, "key 'utilities': "),
+            (("utilities", 0, 0), None, "key 'utilities': "),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, tmp_path, keys, value, message):
+        data = maximal_game(3).to_dict()
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as exc:
+            load_game(path)
+        assert str(exc.value).startswith(message)
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(ValueError, match="missing key 'utilities'"):
+            TwoActionGame.from_dict({"m": 1, "mode": FLOAT})
+
     def test_wrong_table_size_rejected(self, tmp_path):
         game = maximal_game(2)
         path = tmp_path / "game.json"

@@ -14,7 +14,7 @@ from twoaction.combinatorics import (
     maximal_equilibrium_count,
     subfactorial,
 )
-from twoaction.game_model import maximal_game
+from twoaction.game_model import build_product_game, maximal_game
 
 
 def _as_kernel_args(ctuple):
@@ -68,7 +68,7 @@ class TestKernelAgreement:
             assert sum(cand) == candidate_count(m)
             assert list(cand) == [candidates_on_face_class(m, l) for l in range(m + 1)]
 
-    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("m", range(1, 12))
     def test_maximal_closed_form(self, m):
         cand, eq = kernel.census_increment(*_maximal_args(m))
         assert cand == [candidates_on_face_class(m, l) for l in range(m + 1)]
@@ -77,6 +77,49 @@ class TestKernelAgreement:
         ]
         assert sum(eq) == maximal_equilibrium_count(m)
         assert all(type(n) is int for n in cand + eq)
+
+
+class TestChunkBoundaries:
+    # A value set of the suffix carries (m - s)! * s! (prefix, suffix) pairs:
+    # 24 * 6 = 144 at m = 7, s = 3 (35 value sets), 24 * 24 = 576 at m = 8,
+    # s = 4 (70 value sets) and 1 * 5040 at m = 8, s = 7 (8 value sets).
+    @pytest.mark.parametrize(
+        "m, splits",
+        [
+            (
+                7,
+                [
+                    (3, 300),  # 2 value sets a chunk, the last one alone
+                    (3, 30),  # 5 of a value set's 24 prefixes a chunk, the last 4
+                    (3, 1),  # one prefix a chunk, below the cap: the s! floor
+                ],
+            ),
+            (
+                8,
+                [
+                    (4, 2000),  # 3 value sets a chunk, the last one alone
+                    (4, 120),  # 5 prefixes a chunk, the last 4 of a value set
+                    (7, 12000),  # 2 value sets a chunk
+                    (7, 1000),  # one value set a chunk, below the cap
+                ],
+            ),
+        ],
+    )
+    def test_split_walks_match_oracle(self, m, splits, monkeypatch, random_characteristic_tuple):
+        rng = random.Random(m)
+        cases = [_maximal_args(m), _as_kernel_args(random_characteristic_tuple(m, rng))]
+        expected = [census_py(*args) for args in cases]
+        for suffix_len, chunk_rows in splits:
+            monkeypatch.setattr(kernel, "SUFFIX_LEN", suffix_len)
+            monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
+            assert [kernel.census_increment(*args) for args in cases] == expected
+
+    def test_random_m9_matches_streaming_route(self, random_characteristic_tuple):
+        ctuple = random_characteristic_tuple(9, random.Random(31))
+        report = census(build_product_game(ctuple), "increment", use_kernel=False)
+        cand, eq = kernel.census_increment(*_as_kernel_args(ctuple))
+        assert cand == report.candidates_per_class
+        assert eq == report.equilibria_per_class
 
 
 def test_census_rejects_wrong_candidate_counts(monkeypatch):
