@@ -3,15 +3,24 @@
 Every candidate is indexed by a permutation pi of the players together with a
 0/1 boundary assignment on the fixed points of pi: non-fixed coordinates sit
 at the thresholds gamma_j = a[pi(j), j], fixed coordinates at the assigned
-boundary value.  Classification runs by two independent exact routes, each a
-table lookup per (permutation, player), evaluated in NumPy for every
-candidate of a block of permutations:
+boundary value.  Classification runs by two independent exact routes,
+evaluated in NumPy for every candidate of a block of permutations on m-bit
+player masks (bit i is player i):
 
 * increment: integer arithmetic mod 2 over the characteristic tuple only,
   through the table sigma_j(x); the threshold values never enter;
 * sign: the sign of each factored payoff difference as the product of the
   signs of its factors, from a table built by comparing the integer
   numerators of the thresholds; the orderings sigma never enter.
+
+Each route turns its table into one mask per (position, image) once per
+census.  Per permutation a route takes one gather and one XOR (or OR) per
+position: ``C = XOR_j CM[j, pi(j)]`` for increment, ``X = XOR_j NEG[j,
+pi(j)]`` and ``Z = OR_j ZER[j, pi(j)]`` for sign.  Per candidate it takes a
+few operations on its fixed-point mask F and the mask B of its boundary
+players at value 1.  The increment route evaluates the full parity at every
+fixed point, so it does not share the census kernel's all-or-nothing
+shortcut and checks the kernel independently.
 
 Agreement of the two routes on every candidate is the engine's standing
 regression check.  The per-candidate versions of both routes live in the
@@ -20,6 +29,7 @@ tests, as the reference the block routes are compared against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,9 +50,10 @@ Method = Literal["increment", "sign", "both"]
 
 METHODS = ("increment", "sign", "both")
 
-# s! = 720 permutations per block.  Measured on census(maximal_game(7)):
-# 5040 per block ran as fast but raised the peak memory by 2 MB more, and
-# 120 per block took twice as long
+# s! = 720 permutations per block.  Measured on census(game, "both") at
+# m = 7 and 8: 5040 per block ran as fast at m = 7 and 10-15% faster at
+# m = 8, but raised the traced peak memory from 0.3 to 1.2 MB at m = 7 and
+# 0.5 to 2.2 MB at m = 8; 120 per block took 2.5 times as long
 BLOCK_LEN = 6
 
 
@@ -71,15 +82,6 @@ class EquilibriumCandidate:
     @property
     def face_class(self) -> int:
         return len(self.boundary)
-
-    def boundary_value(self, i: int) -> int:
-        for player, value in self.boundary:
-            if player == i:
-                return value
-        raise KeyError(f"player {i} is not a fixed point of the permutation")
-
-    def zero_count(self) -> int:
-        return sum(1 for _, value in self.boundary if value == 0)
 
     def gamma_floats(self) -> tuple[float, ...]:
         return tuple(float(g) for g in self.gamma)
@@ -113,43 +115,62 @@ def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCand
             yield candidate_for(game, pi, dict(zip(fixed, bits)))
 
 
+@functools.cache
+def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary masks of every fixed-point mask, in enumeration order.
+
+    ``flat[start[F] : start[F] + 2^|F|]`` lists the masks B, subsets of F,
+    of the boundary players at value 1, one per candidate of a permutation
+    with fixed-point mask F.  The first fixed point is the most significant
+    bit of the assignment, so the last one alternates fastest.
+    """
+    lists = [np.zeros(1, dtype=np.int64)]
+    for f in range(1, 1 << m):
+        top = 1 << (f.bit_length() - 1)
+        lists.append((lists[f ^ top][:, None] | np.array([0, top])).ravel())
+    counts = np.int64(1) << np.bitwise_count(np.arange(1 << m))
+    return np.concatenate(lists), np.cumsum(counts) - counts
+
+
 @dataclass(frozen=True)
 class CandidateBlock:
     """The candidates of a block of permutations, in enumeration order.
 
-    Players and values are 0-based, and every array has one row per player.
+    Players and values are 0-based, and bit i of a mask is player i.
     ``perms[j, p]`` is the image of player j under the block's p-th
-    permutation.  Candidate n belongs to permutation ``owner[n]``;
-    ``fixed[i, n]`` says whether player i is a fixed point of it, and
-    ``bits[i, n]`` is the boundary value there (0 at moved players).
+    permutation, and ``cells[j, p] = j * m + perms[j, p]`` its flat index
+    in an (m, m) table of masks per (position, image).  Candidate n belongs
+    to permutation ``owner[n]``, whose fixed points are the mask ``F[n]``;
+    ``B[n]`` holds the fixed points at boundary value 1.
     """
 
     perms: np.ndarray
+    cells: np.ndarray
     owner: np.ndarray
-    fixed: np.ndarray
-    bits: np.ndarray
+    F: np.ndarray
+    B: np.ndarray
 
     @classmethod
     def of(cls, perms: np.ndarray) -> "CandidateBlock":
-        fixed = perms == np.arange(len(perms))[:, None]
-        k = fixed.sum(axis=0)
-        counts = np.int64(1) << k
-        owner = np.repeat(np.arange(perms.shape[1]), counts)
-        # the index of a candidate among its permutation's 2^k, whose bits are
-        # the boundary values, the first fixed point most significant
-        assignment = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-        shift = (k - np.cumsum(fixed, axis=0))[:, owner]
-        fixed = fixed[:, owner]
-        bits = ((assignment >> shift) & fixed).astype(np.int8)
-        return cls(perms, owner, fixed, bits)
+        m, n_perms = perms.shape
+        rows = np.arange(m)[:, None]
+        fixed = (np.int64(1) << np.arange(m)) @ (perms == rows)
+        counts = np.int64(1) << np.bitwise_count(fixed)
+        owner = np.repeat(np.arange(n_perms), counts)
+        # candidate n is the (n - first[owner[n]])-th of its permutation
+        first = np.cumsum(counts) - counts
+        flat, start = _boundary_layout(m)
+        boundary = flat[(start[fixed] - first)[owner] + np.arange(len(owner))]
+        return cls(perms, rows * m + perms, owner, fixed[owner], boundary)
 
     @property
     def face_class(self) -> np.ndarray:
-        return self.fixed.sum(axis=0)
+        return np.bitwise_count(self.F)
 
     def candidate(self, game: ProductTwoActionGame, n: int) -> EquilibriumCandidate:
         pi = Permutation((self.perms[:, self.owner[n]] + 1).tolist())
-        values = {int(i) + 1: int(self.bits[i, n]) for i in np.flatnonzero(self.fixed[:, n])}
+        fixed, boundary = int(self.F[n]), int(self.B[n])
+        values = {i + 1: boundary >> i & 1 for i in range(game.m) if fixed >> i & 1}
         return candidate_for(game, pi, values)
 
 
@@ -200,37 +221,84 @@ def sign_table(game: ProductTwoActionGame) -> np.ndarray:
     return table
 
 
-def classify_by_increment(table: np.ndarray, v: np.ndarray, block: CandidateBlock) -> np.ndarray:
-    """Per candidate, True iff it is an equilibrium by the increment criterion.
-
-    ``table`` is ``increment_table`` and ``v`` the sign vector; the threshold
-    values never enter.  At every fixed point i the increment
-    ``1 + b_i + v_i + zeros_excl_self + c_i`` must be even, where
-    ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.
-    """
-    perms = block.perms
-    c = np.zeros(perms.shape, dtype=np.int8)  # c[i, p]
-    for j, (row, images) in enumerate(zip(table, perms)):
-        c += (row[images] >= row[:, None]) & (images != j)
-    zero = block.fixed & (block.bits == 0)
-    zeros_excl_self = zero.sum(axis=0, dtype=np.int8) - zero
-    odd = (1 + block.bits + v[:, None] + zeros_excl_self + c[:, block.owner]) & 1
-    return ~(block.fixed & (odd == 1)).any(axis=0)
+def _player_masks(flags: np.ndarray) -> np.ndarray:
+    """``flags[j, i, x]`` as masks over i: entry ``[j, x]`` has bit i iff the flag is set."""
+    return np.moveaxis(flags, 1, -1) @ (np.int64(1) << np.arange(flags.shape[1]))
 
 
-def classify_by_sign(table: np.ndarray, block: CandidateBlock) -> np.ndarray:
-    """Per candidate, True iff it is an equilibrium by exact sign evaluation.
+def _per_permutation(masks: np.ndarray, block: CandidateBlock, combine: np.ufunc) -> np.ndarray:
+    """``combine`` over positions j of ``masks[j, pi(j)]``, for every permutation pi of a block."""
+    return combine.reduce(masks.take(block.cells), axis=0)
 
-    ``table`` is ``sign_table``.  Every boundary player's payoff difference
-    must point toward the chosen action: positive at value 1, negative at
-    value 0.  Interior players are indifferent by construction.
+
+def increment_masks(table: np.ndarray, v) -> tuple[np.ndarray, int]:
+    """``CM[j, a]`` and the sign-vector mask V of the increment route.
+
+    ``table`` is ``increment_table`` and ``v`` the sign vector.  ``CM[j, a]``
+    is the set of players i with ``sigma_j(a) >= sigma_j(i)``, and empty at
+    a = j, where j is a fixed point.
     """
     m = len(table)
-    codes = np.where(block.fixed, m + block.bits, block.perms[:, block.owner])
-    signs = np.ones(codes.shape, dtype=np.int8)  # signs[i, n]
-    for factor, code in zip(table, codes):
-        signs *= factor[:, code]
-    return ~(block.fixed & (signs != 2 * block.bits - 1)).any(axis=0)
+    cm = _player_masks(table[:, None, :] >= table[:, :, None])
+    cm[np.arange(m), np.arange(m)] = 0
+    return cm, sum(int(b) << i for i, b in enumerate(v))
+
+
+def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``NEG[j, a]``, ``ZER[j, a]`` and ``DT[B]`` of the sign route.
+
+    ``table`` is ``sign_table``.  ``NEG[j, a]`` and ``ZER[j, a]`` are the
+    players i whose factor of j is negative, or zero, when j moves to a; at
+    a = j, where j is a fixed point, they take the factor at boundary value
+    0.  ``DT[B]`` is the players whose sign flips when the fixed points in B
+    move from value 0 to 1.  Boundary factors are never zero, since every
+    threshold lies in (0, 1), so ZER needs no such correction.
+    """
+    m = len(table)
+    diagonal = np.arange(m), np.arange(m)
+    neg, zero = _player_masks(table < 0), _player_masks(table == 0)
+    neg[diagonal], zero[diagonal] = neg[:, m], zero[:, m]
+    in_b = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    dt = np.bitwise_xor.reduce(in_b * (neg[:, m] ^ neg[:, m + 1]), axis=1)
+    return neg[:, :m].copy(), zero[:, :m].copy(), dt
+
+
+def classify_by_increment(masks: tuple[np.ndarray, int], block: CandidateBlock) -> np.ndarray:
+    """Per candidate, True iff it is an equilibrium by the increment criterion.
+
+    ``masks`` is ``increment_masks``; the threshold values never enter.  At
+    every fixed point i the increment ``1 + b_i + v_i + zeros_excl_self + c_i``
+    must be even, where ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.
+    Bit i of ``C = XOR_j CM[j, pi(j)]`` is the parity of c_i.
+    """
+    cm, v = masks
+    c = _per_permutation(cm, block, np.bitwise_xor) ^ v
+    fixed, ones = block.F, block.B
+    zeros = fixed & ~ones
+    # zeros_excl_self mod 2 at fixed point i: the parity of all zeros, XOR i's own zero
+    all_zeros = (np.bitwise_count(zeros) & 1) * fixed
+    odd = ~ones ^ all_zeros ^ zeros ^ c[block.owner]
+    return (odd & fixed) == 0
+
+
+def classify_by_sign(
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray], block: CandidateBlock
+) -> np.ndarray:
+    """Per candidate, True iff it is an equilibrium by exact sign evaluation.
+
+    ``masks`` is ``sign_masks``.  Every boundary player's payoff difference
+    must point toward the chosen action: positive at value 1, negative at
+    value 0.  Interior players are indifferent by construction.  Bit i of
+    ``X = XOR_j NEG[j, pi(j)] XOR DT[B]`` says that player i's payoff
+    difference has an odd number of negative factors, and bit i of
+    ``Z = OR_j ZER[j, pi(j)]`` that it has a zero one.
+    """
+    neg, zero, dt = masks
+    x = _per_permutation(neg, block, np.bitwise_xor)
+    z = _per_permutation(zero, block, np.bitwise_or)
+    fixed, ones = block.F, block.B
+    negative = x[block.owner] ^ dt[ones]
+    return ((negative ^ ones) & fixed == fixed) & (z[block.owner] & fixed == 0)
 
 
 def classified_blocks(
@@ -244,18 +312,17 @@ def classified_blocks(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method != "sign":
-        inc_table = increment_table(game)
-        v = np.array(game.ctuple.v, dtype=np.int8)
+        inc_masks = increment_masks(increment_table(game), game.ctuple.v)
     if method != "increment":
-        sgn_table = sign_table(game)
+        sgn_masks = sign_masks(sign_table(game))
     for perms in permutation_blocks(game.m):
         block = CandidateBlock.of(perms)
         if method == "sign":
-            yield block, classify_by_sign(sgn_table, block)
+            yield block, classify_by_sign(sgn_masks, block)
             continue
-        by_inc = classify_by_increment(inc_table, v, block)
+        by_inc = classify_by_increment(inc_masks, block)
         if method == "both":
-            by_sign = classify_by_sign(sgn_table, block)
+            by_sign = classify_by_sign(sgn_masks, block)
             mismatch = np.flatnonzero(by_inc != by_sign)
             if mismatch.size:
                 n = mismatch[0]

@@ -131,7 +131,6 @@ def _read_game(path, product: bool = True):
     product game is needed, is a UsageError."""
     try:
         game = load_game(path)
-    # a file whose top level is not a JSON object raises TypeError
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(exc) from exc
     if product and not isinstance(game, ProductTwoActionGame):

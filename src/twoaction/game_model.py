@@ -157,6 +157,13 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _ratio_str(numerator: int, denominator: int) -> str:
+    """``_fraction_str(Fraction(numerator, denominator))``, for a positive
+    denominator, without building the Fraction."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
+
+
 _JSON_TYPES = {
     bool: "a boolean",
     int: "an integer",
@@ -319,9 +326,8 @@ class ProductTwoActionGame:
     def m(self) -> int:
         return self.ctuple.m
 
-    @cached_property
-    def tensor(self) -> TwoActionGame:
-        """The exact payoff tensor, in integers over one common denominator.
+    def _utility_numerators(self) -> tuple[list[list[int]], int]:
+        """The payoff tensor as integer numerators over one common denominator.
 
         U^i is 0 when player i plays action 0, and the factored payoff
         difference at the pure profile when they play action 1.  With
@@ -330,8 +336,6 @@ class ProductTwoActionGame:
         """
         m = self.m
         scale = self.coeffs.denominator
-        denominator = scale ** (m - 1)
-        zero = Fraction(0)
         tables = []
         for i in range(1, m + 1):
             # running outer product over players 1..m, player 1 most
@@ -344,8 +348,16 @@ class ProductTwoActionGame:
                     n = self.coeffs.numerators[(i, j)]
                     factors = (-n, scale - n)
                 products = [x * f for x in products for f in factors]
-            tables.append([Fraction(x, denominator) if x else zero for x in products])
-        return TwoActionGame(m, tables, mode=EXACT)
+            tables.append(products)
+        return tables, scale ** (m - 1)
+
+    @cached_property
+    def tensor(self) -> TwoActionGame:
+        """The exact payoff tensor, built from ``_utility_numerators``."""
+        numerators, denominator = self._utility_numerators()
+        zero = Fraction(0)
+        tables = [[Fraction(x, denominator) if x else zero for x in t] for t in numerators]
+        return TwoActionGame(self.m, tables, mode=EXACT)
 
     def lam_factored(self, i: int, gamma) -> Fraction:
         """Exact payoff difference of player i from the factored form.
@@ -368,13 +380,19 @@ class ProductTwoActionGame:
         return Fraction(value, common ** len(others))
 
     def to_dict(self) -> dict:
-        data = self.tensor.to_dict()
-        data["product"] = {
-            "v": list(self.ctuple.v),
-            "sigma": [list(s.images) for s in self.ctuple.sigma],
-            "a": self.coeffs.to_dict(),
+        """The tensor in canonical ``n/d`` text, as ``tensor.to_dict()`` would
+        write it, and the product block."""
+        numerators, denominator = self._utility_numerators()
+        return {
+            "m": self.m,
+            "mode": EXACT,
+            "utilities": [[_ratio_str(x, denominator) for x in t] for t in numerators],
+            "product": {
+                "v": list(self.ctuple.v),
+                "sigma": [list(s.images) for s in self.ctuple.sigma],
+                "a": self.coeffs.to_dict(),
+            },
         }
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProductTwoActionGame":
@@ -394,12 +412,13 @@ class ProductTwoActionGame:
         if data["mode"] != EXACT:
             TwoActionGame.from_dict(data)
             return game
-        stored, rebuilt = _json_field(data, "utilities", list), game.tensor.utilities
+        stored = _json_field(data, "utilities", list)
+        rebuilt, denominator = game._utility_numerators()
         try:
             agrees = [len(t) for t in stored] == [len(t) for t in rebuilt] and not any(
-                text != _fraction_str(u) and Fraction(text) != u
+                text != _ratio_str(x, denominator) and Fraction(text) != Fraction(x, denominator)
                 for texts, table in zip(stored, rebuilt)
-                for text, u in zip(texts, table)
+                for text, x in zip(texts, table)
             )
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"key 'utilities': {exc}") from None
@@ -458,6 +477,8 @@ def load_game(path) -> TwoActionGame | ProductTwoActionGame:
     """Load a game file; returns a product game when the product block is present."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"the game file must hold a JSON object, not {_json_type(data)}")
     if "product" in data and data.get("mode") == EXACT:
         return ProductTwoActionGame.from_dict(data)
     return TwoActionGame.from_dict(data)

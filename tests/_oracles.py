@@ -8,8 +8,9 @@ integers over one common denominator.  ``increment``,
 ``classify_by_increment`` and ``classify_by_sign`` classify one candidate
 object at a time, the sign route through the ``Fraction`` value of
 ``lam_factored``; the library classifies whole blocks of candidates through
-integer tables.  ``verify_block_swap_tables`` checks the case tables behind
-the maximal game's orderings.
+integer masks.  ``boundary_value`` and ``zero_count`` read a candidate's
+boundary assignment for the scalar increment.  ``verify_block_swap_tables``
+checks the case tables behind the maximal game's orderings.
 """
 
 import itertools
@@ -93,14 +94,25 @@ def materialize_per_entry(game) -> TwoActionGame:
     return TwoActionGame(m, tables, mode=EXACT)
 
 
+def boundary_value(cand: EquilibriumCandidate, i: int) -> int:
+    for player, value in cand.boundary:
+        if player == i:
+            return value
+    raise KeyError(f"player {i} is not a fixed point of the permutation")
+
+
+def zero_count(cand: EquilibriumCandidate) -> int:
+    return sum(1 for _, value in cand.boundary if value == 0)
+
+
 def increment(game: ProductTwoActionGame, cand: EquilibriumCandidate, i: int) -> int:
     """The mod-2 increment of a candidate at a fixed point of its permutation.
 
     Uses only the characteristic tuple and the boundary assignment; the
     threshold values never enter.
     """
-    gamma_i = cand.boundary_value(i)  # raises if i is not a fixed point
-    zeros_excl_self = cand.zero_count() - (1 if gamma_i == 0 else 0)
+    gamma_i = boundary_value(cand, i)  # raises if i is not a fixed point
+    zeros_excl_self = zero_count(cand) - (1 if gamma_i == 0 else 0)
     sigma = game.ctuple.sigma
     total = 1 + gamma_i + game.ctuple.v[i - 1] + zeros_excl_self
     for j in range(1, game.m + 1):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    boundary_value,
     classify,
     classify_by_increment,
     classify_by_sign,
     increment,
     verify_block_swap_tables,
+    zero_count,
 )
 from twoaction import candidate_engine, kernel
 from twoaction.candidate_engine import (
@@ -71,9 +73,9 @@ class TestEnumeration:
         cand = candidate_for(game, pi, {3: 0})
         assert cand.gamma == (game.coeffs[(2, 1)], game.coeffs[(1, 2)], F(0))
         assert cand.face_class == 1
-        assert cand.boundary_value(3) == 0
+        assert boundary_value(cand, 3) == 0
         with pytest.raises(KeyError):
-            cand.boundary_value(1)
+            boundary_value(cand, 1)
 
     def test_boundary_must_cover_fixed_points(self):
         game = maximal_game(3)
@@ -84,7 +86,7 @@ class TestEnumeration:
         game = maximal_game(3)
         cand = candidate_for(game, Permutation([2, 3, 1]), {})
         assert cand.boundary == ()
-        assert cand.zero_count() == 0
+        assert zero_count(cand) == 0
 
 
 class TestIncrement:
@@ -190,18 +192,22 @@ def _flipped_sign_table(game):
 
 def _block_masks(game):
     """Keys and both routes' masks of the block classifier, in enumeration order."""
-    inc_table = candidate_engine.increment_table(game)
-    v = np.array(game.ctuple.v)
-    sign_table = candidate_engine.sign_table(game)
+    inc_masks = candidate_engine.increment_masks(
+        candidate_engine.increment_table(game), game.ctuple.v
+    )
+    sign_masks = candidate_engine.sign_masks(candidate_engine.sign_table(game))
     keys, by_inc, by_sign = [], [], []
     for perms in candidate_engine.permutation_blocks(game.m):
         block = CandidateBlock.of(perms)
         for n in range(len(block.owner)):
-            fixed = np.flatnonzero(block.fixed[:, n])
-            boundary = tuple((int(i) + 1, int(block.bits[i, n])) for i in fixed)
+            fixed, ones = int(block.F[n]), int(block.B[n])
+            assert ones & ~fixed == 0
+            boundary = tuple(
+                (i + 1, ones >> i & 1) for i in range(game.m) if fixed >> i & 1
+            )
             keys.append((tuple(int(x) + 1 for x in block.perms[:, block.owner[n]]), boundary))
-        by_inc += candidate_engine.classify_by_increment(inc_table, v, block).tolist()
-        by_sign += candidate_engine.classify_by_sign(sign_table, block).tolist()
+        by_inc += candidate_engine.classify_by_increment(inc_masks, block).tolist()
+        by_sign += candidate_engine.classify_by_sign(sign_masks, block).tolist()
     return keys, by_inc, by_sign
 
 
@@ -256,7 +262,7 @@ class TestBlockClassifier:
     @pytest.mark.parametrize("method", ["increment", "sign", "both"])
     def test_equilibria_match_oracle_filter(self, method, random_product_game):
         rng = random.Random(31)
-        games = [maximal_game(m) for m in range(1, 5)]
+        games = [maximal_game(m) for m in range(1, 7)]
         games += [random_product_game(rng.randint(1, 5), rng) for _ in range(10)]
         games.append(_huge_denominator_game())
         for game in games:
@@ -307,6 +313,18 @@ class TestCensus:
             assert kernel.census_increment(8, list(ctuple.v), sigma) == (
                 streamed.candidates_per_class,
                 streamed.equilibria_per_class,
+            )
+
+    @pytest.mark.parametrize("method", ["sign", "both"])
+    def test_streaming_routes_equal_kernel_m7(self, method, random_characteristic_tuple):
+        rng = random.Random(77)
+        for _ in range(3):
+            ctuple = random_characteristic_tuple(7, rng)
+            report = census(build_product_game(ctuple), method)
+            sigma = [list(s.images) for s in ctuple.sigma]
+            assert kernel.census_increment(7, list(ctuple.v), sigma) == (
+                report.candidates_per_class,
+                report.equilibria_per_class,
             )
 
     def test_counted_by(self):

@@ -12,6 +12,7 @@ from twoaction.combinatorics import Permutation
 BAD_GAME_FILES = {
     "utilities-number.json": {"m": 2, "mode": "float", "utilities": 5},
     "list.json": [1, 2],
+    "number.json": 5,
     "string-m.json": {"m": "2", "mode": "float", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
     "null-utility.json": {"m": 2, "mode": "float", "utilities": [[None, 0, 0, 0], [0] * 4]},
 }
@@ -291,9 +292,10 @@ class TestInputValidation:
             (["table", "--m", "2", "--out", "missing-dir/t.txt"], "No such file"),
             (["construct", "--m", "2", "--out", "missing-dir/g.json"], "No such file"),
             (["solve", "utilities-number.json"], "key 'utilities' must be a list, not an integer"),
-            (["solve", "list.json"], "list indices must be integers"),
+            (["solve", "list.json"], "the game file must hold a JSON object, not a list"),
             (["solve", "string-m.json"], "key 'm' must be an integer, not a string"),
             (["solve", "null-utility.json"], "float() argument must be"),
+            (["solve", "number.json"], "the game file must hold a JSON object, not an integer"),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

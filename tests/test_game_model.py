@@ -331,6 +331,15 @@ class TestPerturbAndSerialization:
             isinstance(u, str) for table in data["utilities"] for u in table
         )
 
+    def test_product_text_is_the_tensor_text(self, random_product_game):
+        # to_dict writes n/d from integer products; it must spell every entry
+        # as the Fraction tensor does, including 0 and negative entries
+        rng = random.Random(12)
+        games = [maximal_game(m) for m in range(1, 6)]
+        games += [random_product_game(rng.randint(1, 5), rng) for _ in range(10)]
+        for game in games:
+            assert game.to_dict()["utilities"] == game.tensor.to_dict()["utilities"]
+
     def test_tampered_tensor_rejected(self, tmp_path):
         game = maximal_game(2)
         path = tmp_path / "game.json"
