@@ -10,7 +10,6 @@ from .combinatorics import (
     block_swap_permutation,
     candidate_count,
     candidates_on_face_class,
-    chi,
     enumerate_derangements,
     enumerate_permutations,
     maximal_equilibrium_count,

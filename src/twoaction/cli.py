@@ -3,6 +3,13 @@
 Exit codes: 0 when all requested checks pass, 1 when a check fails, 2 for
 usage or parse errors.  Every report echoes the configuration that produced
 it, so any run can be reproduced from its own output.
+
+``SUBCOMMANDS`` lists each subcommand once.  A call builds the subparser of
+the subcommand it names alone, and all of them when it names none, so help,
+usage and error lines read as if every subcommand were built.  Game files
+are written and checked through ``game_model``: every tensor entry is its
+canonical ``n/d`` text, zeros "0/1", and a stored tensor equal to that text
+is accepted in one comparison.
 """
 
 from __future__ import annotations
@@ -287,82 +294,111 @@ def positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One argument of a subcommand: the add_argument name and keywords.
+_M = ("--m", {"type": positive_int, "required": True, "help": "number of players"})
+_GAME = ("game", {})
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_FORMAT_CSV = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
+_OUT = ("--out", {"default": None, "help": "output path (default stdout)"})
+_SOLVER = (
+    ("--residual-tol", {"type": positive_float, "default": 1e-10}),
+    ("--threads", {"type": positive_int, "default": 1}),
+)
+
+
+def _trial_flags(default_trials: int) -> tuple:
+    return (
+        ("--trials", {"type": positive_int, "default": default_trials}),
+        ("--seed", {"type": non_negative_int, "default": 0}),
+    )
+
+
+_CONSTRUCT = (
+    _M,
+    ("--out", {"required": True, "help": "output path"}),
+    ("--v", {"default": None, "help": "sign bit string, e.g. 010 (default all 0)"}),
+    (
+        "--sigma",
+        {
+            "default": "delta",
+            "help": "'delta', 'id', or per-player permutations separated by ';' "
+            "(cycle notation '(1 3)' or one-line '3,2,1')",
+        },
+    ),
+)
+_CLASSIFY = (
+    _GAME,
+    _FORMAT_CSV,
+    _OUT,
+    ("--method", {"choices": METHODS, "default": "both"}),
+    ("--expect-maximal", {"action": "store_true"}),
+)
+_EXPECT_TOTAL = ("--expect-total", {"type": int, "default": None})
+_EPSILON = ("--epsilon", {"type": positive_float, "default": 1e-3})
+
+# Every subcommand, in the order the help lists them: name, help, handler,
+# and its arguments in the order they are added.
+SUBCOMMANDS = (
+    ("table", "print !m, candidate totals and maximal counts", cmd_table, (_M, _FORMAT_CSV, _OUT)),
+    ("construct", "write a product game file", cmd_construct, _CONSTRUCT),
+    (
+        "candidates",
+        "list the equilibrium candidates of a game file",
+        cmd_candidates,
+        (_GAME, _FORMAT, _OUT),
+    ),
+    ("classify", "exact census of a product game file", cmd_classify, _CLASSIFY),
+    (
+        "solve",
+        "numeric support-enumeration solve of a game file",
+        cmd_solve,
+        (_GAME, _FORMAT, _OUT, *_SOLVER, _EXPECT_TOTAL),
+    ),
+    (
+        "deform",
+        "perturbation stability of a product game file",
+        cmd_deform,
+        (_GAME, _FORMAT, _OUT, *_SOLVER, _EPSILON, *_trial_flags(20)),
+    ),
+    (
+        "scan",
+        "inequality scan over random generic games",
+        cmd_scan,
+        (_M, _FORMAT, _OUT, *_SOLVER, *_trial_flags(100)),
+    ),
+)
+_ALL_COMMANDS = "{" + ",".join(name for name, *_ in SUBCOMMANDS) + "}"
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser alone when it names a
+    subcommand, and with all of them otherwise.
+
+    Usage lines list every subcommand either way, so a parse reads the same
+    whichever parser made it.
+    """
     parser = argparse.ArgumentParser(
         prog="twoaction",
         description="Equilibrium counting for m-player games with two actions per player",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_m=False, csv=False):
-        if needs_m:
-            p.add_argument("--m", type=positive_int, required=True, help="number of players")
-        formats = ("text", "json", "csv") if csv else ("text", "json")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    def solver_flags(p):
-        p.add_argument("--residual-tol", type=positive_float, default=1e-10)
-        p.add_argument("--threads", type=positive_int, default=1)
-
-    def trial_flags(p, default_trials):
-        p.add_argument("--trials", type=positive_int, default=default_trials)
-        p.add_argument("--seed", type=non_negative_int, default=0)
-
-    p = sub.add_parser("table", help="print !m, candidate totals and maximal counts")
-    common(p, needs_m=True, csv=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("construct", help="write a product game file")
-    p.add_argument("--m", type=positive_int, required=True, help="number of players")
-    p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--v", default=None, help="sign bit string, e.g. 010 (default all 0)")
-    p.add_argument(
-        "--sigma",
-        default="delta",
-        help="'delta', 'id', or per-player permutations separated by ';' "
-        "(cycle notation '(1 3)' or one-line '3,2,1')",
+    chosen = [entry for entry in SUBCOMMANDS if entry[0] == command]
+    # without a subcommand the parser names the missing argument "command";
+    # with one, the explicit metavar keeps the full list in the usage line
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_ALL_COMMANDS if chosen else None
     )
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("candidates", help="list the equilibrium candidates of a game file")
-    p.add_argument("game")
-    common(p)
-    p.set_defaults(func=cmd_candidates)
-
-    p = sub.add_parser("classify", help="exact census of a product game file")
-    p.add_argument("game")
-    common(p, csv=True)
-    p.add_argument("--method", choices=METHODS, default="both")
-    p.add_argument("--expect-maximal", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("solve", help="numeric support-enumeration solve of a game file")
-    p.add_argument("game")
-    common(p)
-    solver_flags(p)
-    p.add_argument("--expect-total", type=int, default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("deform", help="perturbation stability of a product game file")
-    p.add_argument("game")
-    common(p)
-    solver_flags(p)
-    p.add_argument("--epsilon", type=positive_float, default=1e-3)
-    trial_flags(p, 20)
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("scan", help="inequality scan over random generic games")
-    common(p, needs_m=True)
-    solver_flags(p)
-    trial_flags(p, 100)
-    p.set_defaults(func=cmd_scan)
-
+    for name, help_text, handler, arguments in chosen or SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -52,12 +52,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, img in enumerate(self.images, start=1) if img == i)
 
-    def is_derangement(self) -> bool:
-        return not self.fixed_points()
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
         for i, img in enumerate(self.images, start=1):
@@ -117,11 +111,6 @@ def enumerate_derangements(m: int) -> Iterator[Permutation]:
     for images in itertools.permutations(range(1, m + 1)):
         if all(img != i for i, img in enumerate(images, start=1)):
             yield Permutation(images)
-
-
-def chi(a, b) -> int:
-    """Order indicator: 1 if a >= b, else 0."""
-    return 1 if a >= b else 0
 
 
 def _send_to_end(m: int, i: int) -> Permutation:

@@ -27,18 +27,6 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def profile_index(bits: Sequence[int]) -> int:
-    """Lexicographic index of a pure profile, player 1 most significant."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
-
-
-def profile_bits(idx: int, m: int) -> tuple[int, ...]:
-    return tuple((idx >> (m - k)) & 1 for k in range(1, m + 1))
-
-
 class TwoActionGame:
     """m players, two actions each, one utility table of 2^m entries per player."""
 
@@ -56,63 +44,6 @@ class TwoActionGame:
         self.m = m
         self.mode = mode
         self.utilities = utilities
-
-    def utility(self, i: int, bits: Sequence[int]):
-        """Utility of player i at the pure profile given by its action bits."""
-        return self.utilities[i - 1][profile_index(bits)]
-
-    def payoff(self, i: int, gamma) -> "Fraction | float":
-        """Expected utility of player i at a mixed profile (multilinear extension)."""
-        gamma = tuple(gamma)
-        if len(gamma) != self.m:
-            raise ValueError(f"profile has {len(gamma)} coordinates, need {self.m}")
-        table = self.utilities[i - 1]
-        total = 0
-        for idx, u in enumerate(table):
-            weight = 1
-            for k in range(1, self.m + 1):
-                g = gamma[k - 1]
-                weight *= g if (idx >> (self.m - k)) & 1 else 1 - g
-                if weight == 0:
-                    break
-            if weight != 0:
-                total += weight * u
-        return total
-
-    def lam(self, i: int, gamma_minus_i) -> "Fraction | float":
-        """Payoff difference of player i between action 1 and action 0.
-
-        ``gamma_minus_i`` holds the m-1 coordinates of the other players in
-        increasing player order.
-        """
-        gamma_minus_i = tuple(gamma_minus_i)
-        if len(gamma_minus_i) != self.m - 1:
-            raise ValueError(
-                f"opponent profile has {len(gamma_minus_i)} coordinates, need {self.m - 1}"
-            )
-        others = [k for k in range(1, self.m + 1) if k != i]
-        table = self.utilities[i - 1]
-        total = 0
-        for sub in range(2 ** (self.m - 1)):
-            weight = 1
-            bits = [0] * self.m
-            for pos, k in enumerate(others):
-                b = (sub >> (self.m - 2 - pos)) & 1
-                bits[k - 1] = b
-                g = gamma_minus_i[pos]
-                weight *= g if b else 1 - g
-            if weight == 0:
-                continue
-            bits[i - 1] = 1
-            hi = table[profile_index(bits)]
-            bits[i - 1] = 0
-            lo = table[profile_index(bits)]
-            total += weight * (hi - lo)
-        return total
-
-    def lam_at_profile(self, i: int, gamma) -> "Fraction | float":
-        """lam with the full m-coordinate profile supplied (coordinate i ignored)."""
-        return self.lam(i, tuple(g for k, g in enumerate(gamma, start=1) if k != i))
 
     def as_float(self) -> "TwoActionGame":
         if self.mode == FLOAT:
@@ -155,13 +86,6 @@ class TwoActionGame:
 
 def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _ratio_str(numerator: int, denominator: int) -> str:
-    """``_fraction_str(Fraction(numerator, denominator))``, for a positive
-    denominator, without building the Fraction."""
-    g = math.gcd(numerator, denominator)
-    return f"{numerator // g}/{denominator // g}"
 
 
 _JSON_TYPES = {
@@ -236,30 +160,34 @@ class CoefficientMatrix:
                 if i == j:
                     continue
                 try:
-                    a = Fraction(values[(i, j)])
+                    a = values[(i, j)]
                 except KeyError:
                     raise ValueError(f"missing coefficient for pair ({i},{j})") from None
-                if not 0 < a < 1:
+                if type(a) is not Fraction:
+                    a = Fraction(a)
+                # in lowest terms with a positive denominator: 0 < a < 1
+                if not 0 < a.numerator < a.denominator:
                     raise ValueError(f"coefficient a[{i},{j}] = {a} outside (0,1)")
                 self.values[(i, j)] = a
-        for j in range(1, m + 1):
-            column = [self.values[(i, j)] for i in range(1, m + 1) if i != j]
-            if len(set(column)) != len(column):
-                raise ValueError(f"coefficients a[.,{j}] are not pairwise distinct")
         self.denominator = math.lcm(*(a.denominator for a in self.values.values()))
         self.numerators = {
             key: a.numerator * (self.denominator // a.denominator)
             for key, a in self.values.items()
         }
+        for j in range(1, m + 1):
+            column = [self.numerators[(i, j)] for i in range(1, m + 1) if i != j]
+            if len(set(column)) != len(column):
+                raise ValueError(f"coefficients a[.,{j}] are not pairwise distinct")
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.values[key]
 
     def column_permutation(self, j: int) -> Permutation:
-        """Recover the j-th associated permutation by descending sort of a[.,j]."""
+        """Recover the j-th associated permutation by descending sort of a[.,j],
+        read from the integer numerators over the common denominator."""
         others = sorted(
             (i for i in range(1, self.m + 1) if i != j),
-            key=lambda i: self.values[(i, j)],
+            key=lambda i: self.numerators[(i, j)],
             reverse=True,
         )
         positions = [p for p in range(1, self.m + 1) if p != j]
@@ -359,34 +287,25 @@ class ProductTwoActionGame:
         tables = [[Fraction(x, denominator) if x else zero for x in t] for t in numerators]
         return TwoActionGame(self.m, tables, mode=EXACT)
 
-    def lam_factored(self, i: int, gamma) -> Fraction:
-        """Exact payoff difference of player i from the factored form.
+    def _tensor_texts(self) -> list[list[str]]:
+        """Every tensor entry in canonical ``n/d`` text, as ``tensor.to_dict()``
+        spells it, computed from the integer numerators without a Fraction.
 
-        Evaluated from the coefficient values (never from the orderings) in
-        integers over the common denominator of gamma and a[i, .].
+        Half the entries are the zeros of action 0, written "0/1" without a gcd.
         """
-        gamma = tuple(gamma)
-        others = [j for j in range(1, self.m + 1) if j != i]
-        coords = [gamma[j - 1] for j in others]
-        coords = [g if type(g) is Fraction else Fraction(g) for g in coords]
-        scale = self.coeffs.denominator
-        common = math.lcm(scale, *(g.denominator for g in coords))
-        value = -1 if self.ctuple.v[i - 1] else 1
-        for j, g in zip(others, coords):
-            value *= (
-                g.numerator * (common // g.denominator)
-                - self.coeffs.numerators[(i, j)] * (common // scale)
-            )
-        return Fraction(value, common ** len(others))
+        numerators, denominator = self._utility_numerators()
+        gcd = math.gcd
+        return [
+            [f"{x // (g := gcd(x, denominator))}/{denominator // g}" if x else "0/1" for x in t]
+            for t in numerators
+        ]
 
     def to_dict(self) -> dict:
-        """The tensor in canonical ``n/d`` text, as ``tensor.to_dict()`` would
-        write it, and the product block."""
-        numerators, denominator = self._utility_numerators()
+        """The tensor in canonical ``n/d`` text and the product block."""
         return {
             "m": self.m,
             "mode": EXACT,
-            "utilities": [[_ratio_str(x, denominator) for x in t] for t in numerators],
+            "utilities": self._tensor_texts(),
             "product": {
                 "v": list(self.ctuple.v),
                 "sigma": [list(s.images) for s in self.ctuple.sigma],
@@ -407,18 +326,21 @@ class ProductTwoActionGame:
         ctuple = CharacteristicTuple(v=tuple(v), sigma=sigma)
         coeffs = CoefficientMatrix.from_dict(m, _json_field(product, "a", dict, "product.a"))
         game = cls(ctuple, coeffs)
-        # Sanity: the stored tensor must match the rebuilt one.  A stored
-        # entry is parsed only when it is not spelled as the canonical n/d.
+        # Sanity: the stored tensor must match the rebuilt one.  A file as
+        # save_game writes it equals the canonical text in one comparison;
+        # otherwise a stored entry is parsed when it is not spelled canonically.
         if data["mode"] != EXACT:
             TwoActionGame.from_dict(data)
             return game
         stored = _json_field(data, "utilities", list)
-        rebuilt, denominator = game._utility_numerators()
+        texts = game._tensor_texts()
+        if stored == texts:
+            return game
         try:
-            agrees = [len(t) for t in stored] == [len(t) for t in rebuilt] and not any(
-                text != _ratio_str(x, denominator) and Fraction(text) != Fraction(x, denominator)
-                for texts, table in zip(stored, rebuilt)
-                for text, x in zip(texts, table)
+            agrees = [len(t) for t in stored] == [len(t) for t in texts] and all(
+                text == canonical or Fraction(text) == Fraction(canonical)
+                for row, canonical_row in zip(stored, texts)
+                for text, canonical in zip(row, canonical_row)
             )
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"key 'utilities': {exc}") from None
@@ -468,9 +390,9 @@ def perturb(game: TwoActionGame | ProductTwoActionGame, epsilon: float, seed: in
 
 
 def save_game(game: TwoActionGame | ProductTwoActionGame, path) -> None:
+    text = json.dumps(game.to_dict(), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(game.to_dict(), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_game(path) -> TwoActionGame | ProductTwoActionGame:

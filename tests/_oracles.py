@@ -11,22 +11,135 @@ object at a time, the sign route through the ``Fraction`` value of
 integer masks.  ``boundary_value`` and ``zero_count`` read a candidate's
 boundary assignment for the scalar increment.  ``verify_block_swap_tables``
 checks the case tables behind the maximal game's orderings.
+
+``payoff``, ``lam`` and ``lam_at_profile`` evaluate a game's multilinear
+extension entry by entry, ``utility`` reads one pure profile through
+``profile_index``, and ``chi``, ``is_identity`` and ``is_derangement`` are
+the order indicator and permutation predicates the other oracles and the
+tests read.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement
 from twoaction.combinatorics import (
     Permutation,
     block_swap_permutation,
     candidates_on_face_class,
-    chi,
     enumerate_permutations,
 )
-from twoaction.game_model import EXACT, ProductTwoActionGame, TwoActionGame, profile_bits
+from twoaction.game_model import EXACT, ProductTwoActionGame, TwoActionGame
+
+
+def chi(a, b) -> int:
+    """Order indicator: 1 if a >= b, else 0."""
+    return 1 if a >= b else 0
+
+
+def is_derangement(p: Permutation) -> bool:
+    return not p.fixed_points()
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(img == i for i, img in enumerate(p.images, start=1))
+
+
+def profile_index(bits: Sequence[int]) -> int:
+    """Lexicographic index of a pure profile, player 1 most significant."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    return idx
+
+
+def profile_bits(idx: int, m: int) -> tuple[int, ...]:
+    return tuple((idx >> (m - k)) & 1 for k in range(1, m + 1))
+
+
+def utility(game: TwoActionGame, i: int, bits: Sequence[int]):
+    """Utility of player i at the pure profile given by its action bits."""
+    return game.utilities[i - 1][profile_index(bits)]
+
+
+def payoff(game: TwoActionGame, i: int, gamma) -> "Fraction | float":
+    """Expected utility of player i at a mixed profile (multilinear extension)."""
+    gamma = tuple(gamma)
+    if len(gamma) != game.m:
+        raise ValueError(f"profile has {len(gamma)} coordinates, need {game.m}")
+    table = game.utilities[i - 1]
+    total = 0
+    for idx, u in enumerate(table):
+        weight = 1
+        for k in range(1, game.m + 1):
+            g = gamma[k - 1]
+            weight *= g if (idx >> (game.m - k)) & 1 else 1 - g
+            if weight == 0:
+                break
+        if weight != 0:
+            total += weight * u
+    return total
+
+
+def lam(game: TwoActionGame, i: int, gamma_minus_i) -> "Fraction | float":
+    """Payoff difference of player i between action 1 and action 0.
+
+    ``gamma_minus_i`` holds the m-1 coordinates of the other players in
+    increasing player order.
+    """
+    gamma_minus_i = tuple(gamma_minus_i)
+    if len(gamma_minus_i) != game.m - 1:
+        raise ValueError(
+            f"opponent profile has {len(gamma_minus_i)} coordinates, need {game.m - 1}"
+        )
+    others = [k for k in range(1, game.m + 1) if k != i]
+    table = game.utilities[i - 1]
+    total = 0
+    for sub in range(2 ** (game.m - 1)):
+        weight = 1
+        bits = [0] * game.m
+        for pos, k in enumerate(others):
+            b = (sub >> (game.m - 2 - pos)) & 1
+            bits[k - 1] = b
+            g = gamma_minus_i[pos]
+            weight *= g if b else 1 - g
+        if weight == 0:
+            continue
+        bits[i - 1] = 1
+        hi = table[profile_index(bits)]
+        bits[i - 1] = 0
+        lo = table[profile_index(bits)]
+        total += weight * (hi - lo)
+    return total
+
+
+def lam_at_profile(game: TwoActionGame, i: int, gamma) -> "Fraction | float":
+    """lam with the full m-coordinate profile supplied (coordinate i ignored)."""
+    return lam(game, i, tuple(g for k, g in enumerate(gamma, start=1) if k != i))
+
+
+def lam_factored(game: ProductTwoActionGame, i: int, gamma) -> Fraction:
+    """Exact payoff difference of player i from the factored form.
+
+    Evaluated from the coefficient values (never from the orderings) in
+    integers over the common denominator of gamma and a[i, .].
+    """
+    gamma = tuple(gamma)
+    others = [j for j in range(1, game.m + 1) if j != i]
+    coords = [gamma[j - 1] for j in others]
+    coords = [g if type(g) is Fraction else Fraction(g) for g in coords]
+    scale = game.coeffs.denominator
+    common = math.lcm(scale, *(g.denominator for g in coords))
+    value = -1 if game.ctuple.v[i - 1] else 1
+    for j, g in zip(others, coords):
+        value *= (
+            g.numerator * (common // g.denominator)
+            - game.coeffs.numerators[(i, j)] * (common // scale)
+        )
+    return Fraction(value, common ** len(others))
 
 
 def subfactorial_pair_recursion(n: int) -> int:
@@ -137,7 +250,7 @@ def classify_by_sign(game: ProductTwoActionGame, cand: EquilibriumCandidate) -> 
     Interior players are indifferent by construction.
     """
     for i, value in cand.boundary:
-        lam = game.lam_factored(i, cand.gamma)
+        lam = lam_factored(game, i, cand.gamma)
         if value == 1 and lam <= 0:
             return False
         if value == 0 and lam >= 0:

@@ -11,6 +11,8 @@ from _oracles import (
     classify_by_increment,
     classify_by_sign,
     increment,
+    lam_at_profile,
+    lam_factored,
     verify_block_swap_tables,
     zero_count,
 )
@@ -176,7 +178,7 @@ class TestClassification:
         for cand in enumerate_candidates(game):
             ok = True
             for i, value in cand.boundary:
-                lam = game.tensor.lam_at_profile(i, cand.gamma)
+                lam = lam_at_profile(game.tensor, i, cand.gamma)
                 ok &= lam > 0 if value == 1 else lam < 0
             assert classify_by_sign(game, cand) == ok
 
@@ -251,6 +253,21 @@ class TestBlockClassifier:
         assert game.coeffs.denominator > 2**64
         _assert_routes_match_oracles(game)
         assert census(game, "both").total_equilibria % 2 == 1
+
+    def test_sign_zero_masks_are_the_moved_images(self, random_product_game):
+        # The only zero factor of player j, moved to a, is in player a's own
+        # difference (a column's thresholds are distinct), and a fixed
+        # position's boundary factor is never zero.  So Z = OR_j ZER[j, pi(j)]
+        # is the set of moved players, which never meets F: the sign route's
+        # zero test can fail only on an injected table, and is kept as a guard.
+        rng = random.Random(50)
+        for _ in range(50):
+            m = rng.randint(2, 7)
+            _, zero, _ = candidate_engine.sign_masks(
+                candidate_engine.sign_table(random_product_game(m, rng))
+            )
+            expected = [[0 if a == j else 1 << a for a in range(m)] for j in range(m)]
+            assert zero.tolist() == expected
 
     def test_blocks_walk_permutations_in_order(self):
         for m in (1, 3, 8):
@@ -364,7 +381,7 @@ class TestMaximalM3Coordinates:
         game = maximal_game(3)
         for gamma in MAXIMAL_M3_EQUILIBRIA:
             for i in (1, 2, 3):
-                lam = game.tensor.lam_at_profile(i, gamma)
+                lam = lam_at_profile(game.tensor, i, gamma)
                 if gamma[i - 1] == 0:
                     assert lam < 0
                 elif gamma[i - 1] == 1:
@@ -377,7 +394,7 @@ class TestMaximalM3Coordinates:
         # difference is negative there, so only the value-0 sibling survives
         game = maximal_game(3)
         cand = candidate_for(game, Permutation([2, 1, 3]), {3: 1})
-        assert game.lam_factored(3, cand.gamma) < 0
+        assert lam_factored(game, 3, cand.gamma) < 0
         assert increment(game, cand, 3) == 1
         assert not classify_by_sign(game, cand)
 

@@ -1,10 +1,15 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twoaction import candidate_engine, solver
-from twoaction.cli import main, parse_permutation
+from twoaction.cli import build_parser, main, parse_permutation
 from twoaction.combinatorics import Permutation
 
 
@@ -16,6 +21,15 @@ BAD_GAME_FILES = {
     "string-m.json": {"m": "2", "mode": "float", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
     "null-utility.json": {"m": 2, "mode": "float", "utilities": [[None, 0, 0, 0], [0] * 4]},
 }
+
+SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
+ALL_COMMANDS = "{" + ",".join(SUBCOMMANDS) + "}"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 class TestParsePermutation:
@@ -351,3 +365,48 @@ class TestInputValidation:
             main(argv + ["--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+class TestParser:
+    """A named subcommand gets its subparser alone; the output reads the same."""
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_one_subparser_has_the_full_parsers_help(self, name):
+        alone, full = build_parser(name), build_parser()
+        assert list(_subparsers(alone)) == [name]
+        assert list(_subparsers(full)) == SUBCOMMANDS
+        assert _subparsers(alone)[name].format_help() == _subparsers(full)[name].format_help()
+        assert alone.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]])
+    def test_no_or_unknown_subcommand_lists_all(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err.splitlines()[:2]
+        assert ALL_COMMANDS in " ".join(line.strip() for line in usage)
+
+    def test_help_lists_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert ALL_COMMANDS in out
+        assert all(f"    {name} " in out for name in SUBCOMMANDS)
+
+    def test_console_script_in_a_real_process(self, tmp_path):
+        # main() with no argv reads sys.argv, as the twoaction console script calls it
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def run(*argv):
+            command = [sys.executable, "-m", "twoaction.cli", *argv]
+            return subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        construct = run("construct", "--m", "3", "--out", "g.json")
+        assert construct.returncode == 0, construct.stderr
+        classify = run("classify", "g.json", "--expect-maximal")
+        assert classify.returncode == 0, classify.stderr
+        assert "9 equilibria" in classify.stdout
+        bare = run()
+        assert bare.returncode == 2
+        assert "the following arguments are required: command" in bare.stderr

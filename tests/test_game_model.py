@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import materialize_per_entry
+from _oracles import (
+    lam,
+    lam_at_profile,
+    lam_factored,
+    materialize_per_entry,
+    payoff,
+    profile_bits,
+    profile_index,
+    utility,
+)
 from twoaction.candidate_engine import census
 from twoaction.combinatorics import (
     Permutation,
@@ -23,8 +32,6 @@ from twoaction.game_model import (
     load_game,
     maximal_game,
     perturb,
-    profile_bits,
-    profile_index,
     save_game,
 )
 
@@ -50,15 +57,15 @@ class TestTwoActionGame:
 
     def test_utility_lookup(self):
         g = self._matching_pennies()
-        assert g.utility(1, [0, 0]) == 1
-        assert g.utility(1, [0, 1]) == -1
-        assert g.utility(2, [1, 0]) == 1
+        assert utility(g, 1, [0, 0]) == 1
+        assert utility(g, 1, [0, 1]) == -1
+        assert utility(g, 2, [1, 0]) == 1
 
     def test_payoff_at_vertex_equals_utility(self):
         g = self._matching_pennies()
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             for i in (1, 2):
-                assert g.payoff(i, [F(b) for b in bits]) == g.utility(i, bits)
+                assert payoff(g, i, [F(b) for b in bits]) == utility(g, i, bits)
 
     def test_payoff_is_multilinear(self):
         # affine in each coordinate: value at midpoint = mean of endpoints
@@ -75,7 +82,7 @@ class TestTwoActionGame:
                 hi[axis] = F(1)
                 mid = list(base)
                 mid[axis] = F(1, 2)
-                assert g.payoff(i, mid) == (g.payoff(i, lo) + g.payoff(i, hi)) / 2
+                assert payoff(g, i, mid) == (payoff(g, i, lo) + payoff(g, i, hi)) / 2
 
     def test_lam_is_payoff_difference(self):
         rng = random.Random(11)
@@ -88,15 +95,15 @@ class TestTwoActionGame:
             lo = list(gamma)
             hi[i - 1] = F(1)
             lo[i - 1] = F(0)
-            assert g.lam_at_profile(i, gamma) == g.payoff(i, hi) - g.payoff(i, lo)
+            assert lam_at_profile(g, i, gamma) == payoff(g, i, hi) - payoff(g, i, lo)
             others = [g_ for k, g_ in enumerate(gamma, 1) if k != i]
-            assert g.lam(i, others) == g.lam_at_profile(i, gamma)
+            assert lam(g, i, others) == lam_at_profile(g, i, gamma)
 
     def test_matching_pennies_lam(self):
         g = self._matching_pennies()
-        assert g.lam(1, [F(1, 2)]) == 0  # indifferent at the mixed equilibrium
-        assert g.lam(1, [F(1)]) == 2  # match: prefer action 1
-        assert g.lam(2, [F(1)]) == -2  # mismatch: prefer action 0
+        assert lam(g, 1, [F(1, 2)]) == 0  # indifferent at the mixed equilibrium
+        assert lam(g, 1, [F(1)]) == 2  # match: prefer action 1
+        assert lam(g, 2, [F(1)]) == -2  # mismatch: prefer action 0
 
     def test_tensor_shape_and_values(self):
         g = self._matching_pennies()
@@ -190,8 +197,8 @@ class TestProductGame:
             game = random_product_game(m, rng)
             gamma = [F(rng.randint(1, 9), 10) for _ in range(m)]
             for i in range(1, m + 1):
-                assert game.lam_factored(i, gamma) == game.tensor.lam_at_profile(
-                    i, gamma
+                assert lam_factored(game, i, gamma) == lam_at_profile(
+                    game.tensor, i, gamma
                 )
 
     def test_sign_vector_flips_lam(self):
@@ -199,7 +206,7 @@ class TestProductGame:
         flipped = build_product_game(CharacteristicTuple((1, 0, 0), sigma))
         plain = build_product_game(CharacteristicTuple((0, 0, 0), sigma))
         gamma = [F(1, 3)] * 3
-        assert flipped.lam_factored(1, gamma) == -plain.lam_factored(1, gamma)
+        assert lam_factored(flipped, 1, gamma) == -lam_factored(plain, 1, gamma)
 
     def test_action0_payoff_is_zero(self):
         game = maximal_game(3)
@@ -207,7 +214,7 @@ class TestProductGame:
             for idx in range(8):
                 bits = profile_bits(idx, 3)
                 if bits[i - 1] == 0:
-                    assert game.tensor.utility(i, bits) == 0
+                    assert utility(game.tensor, i, bits) == 0
 
     def test_vertex_lam_matches_factored_form(self):
         game = maximal_game(3)
@@ -219,7 +226,7 @@ class TestProductGame:
                 for j in (1, 2, 3):
                     if j != i:
                         expected *= bits[j - 1] - game.coeffs[(i, j)]
-                assert game.tensor.lam_at_profile(i, gamma) == expected
+                assert lam_at_profile(game.tensor, i, gamma) == expected
 
     def test_tensor_equals_per_entry_oracle(self, random_product_game):
         rng = random.Random(13)
@@ -246,7 +253,7 @@ class TestProductGame:
         assert game.coeffs.denominator == 13860
         assert game.tensor.utilities == materialize_per_entry(game).utilities
         # player 1 at (1, 0, 1), v_1 = 1: -(0 - 5/11)(1 - 1/5) = 4/11
-        assert game.tensor.utility(1, (1, 0, 1)) == F(4, 11)
+        assert utility(game.tensor, 1, (1, 0, 1)) == F(4, 11)
 
     def test_lam_factored_off_the_common_denominator(self):
         # profile denominators (13, 17) do not divide D = 13860
@@ -259,7 +266,7 @@ class TestProductGame:
                 F(rng.randint(1, 12), 13),
             ]
             for i in (1, 2, 3):
-                assert game.lam_factored(i, gamma) == game.tensor.lam_at_profile(i, gamma)
+                assert lam_factored(game, i, gamma) == lam_at_profile(game.tensor, i, gamma)
 
     def test_increment_census_never_builds_the_tensor(self):
         game = maximal_game(12)
@@ -363,6 +370,19 @@ class TestPerturbAndSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_game(path)
+
+    def test_saved_file_is_the_indented_json(self, tmp_path, random_product_game):
+        # pins the game file byte for byte: one-space indented JSON of to_dict
+        # and a newline, zeros spelled "0/1"; it loads back to an equal tensor
+        rng = random.Random(77)
+        games = [maximal_game(m) for m in range(1, 8)]
+        games += [random_product_game(rng.randint(1, 7), rng) for _ in range(6)]
+        path = tmp_path / "game.json"
+        for game in games:
+            save_game(game, path)
+            assert path.read_text() == json.dumps(game.to_dict(), indent=1) + "\n"
+            assert "0/1" in game.to_dict()["utilities"][0]
+            assert load_game(path).tensor.utilities == game.tensor.utilities
 
     def test_noncanonical_spelling_loads(self, tmp_path):
         game = maximal_game(3)
