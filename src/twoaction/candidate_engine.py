@@ -4,8 +4,8 @@ Every candidate is indexed by a permutation pi of the players together with a
 0/1 boundary assignment on the fixed points of pi: non-fixed coordinates sit
 at the thresholds gamma_j = a[pi(j), j], fixed coordinates at the assigned
 boundary value.  Classification runs by two independent exact routes,
-evaluated in NumPy for every candidate of a block of permutations on m-bit
-player masks (bit i is player i):
+evaluated in NumPy on m-bit player masks (bit i is player i) for every
+candidate of a block: the permutations that share a prefix of ``kernel.walk``.
 
 * increment: integer arithmetic mod 2 over the characteristic tuple only,
   through the table sigma_j(x); the threshold values never enter;
@@ -13,14 +13,14 @@ player masks (bit i is player i):
   signs of its factors, from a table built by comparing the integer
   numerators of the thresholds; the orderings sigma never enter.
 
-Each route turns its table into one mask per (position, image) once per
-census.  Per permutation a route takes one gather and one XOR (or OR) per
-position: ``C = XOR_j CM[j, pi(j)]`` for increment, ``X = XOR_j NEG[j,
-pi(j)]`` and ``Z = OR_j ZER[j, pi(j)]`` for sign.  Per candidate it takes a
-few operations on its fixed-point mask F and the mask B of its boundary
-players at value 1.  The increment route evaluates the full parity at every
-fixed point, so it does not share the census kernel's all-or-nothing
-shortcut and checks the kernel independently.
+Each route turns its table into one mask per (position, image), split over
+the walk by ``kernel.split_reduce`` once per census, so a permutation's ``C =
+XOR_j CM[j, pi(j)]`` for increment, and ``X = XOR_j NEG[j, pi(j)]`` and ``Z =
+OR_j ZER[j, pi(j)]`` for sign, take one operation each.  Per candidate a
+route takes a few operations on its fixed-point mask F and the mask B of its
+boundary players at value 1.  The increment route evaluates the full parity
+at every fixed point, so it does not share the census kernel's
+all-or-nothing shortcut and checks the kernel independently.
 
 Agreement of the two routes on every candidate is the engine's standing
 regression check.  The per-candidate versions of both routes live in the
@@ -49,12 +49,6 @@ from .game_model import ProductTwoActionGame
 Method = Literal["increment", "sign", "both"]
 
 METHODS = ("increment", "sign", "both")
-
-# s! = 720 permutations per block.  Measured on census(game, "both") at
-# m = 7 and 8: 5040 per block ran as fast at m = 7 and 10-15% faster at
-# m = 8, but raised the traced peak memory from 0.3 to 1.2 MB at m = 7 and
-# 0.5 to 2.2 MB at m = 8; 120 per block took 2.5 times as long
-BLOCK_LEN = 6
 
 
 class MethodDisagreement(Exception):
@@ -134,34 +128,34 @@ def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CandidateBlock:
-    """The candidates of a block of permutations, in enumeration order.
+    """The candidates of one prefix's permutations, in enumeration order.
 
     Players and values are 0-based, and bit i of a mask is player i.
-    ``perms[j, p]`` is the image of player j under the block's p-th
-    permutation, and ``cells[j, p] = j * m + perms[j, p]`` its flat index
-    in an (m, m) table of masks per (position, image).  Candidate n belongs
-    to permutation ``owner[n]``, whose fixed points are the mask ``F[n]``;
+    ``perms[j, c]`` is the image of player j under the block's c-th
+    permutation: the ``prefix``-th prefix of ``kernel.walk`` followed by the
+    c-th ordering of its value set, the ``rest``-th.  Candidate n belongs to
+    permutation ``owner[n]``, whose fixed points are the mask ``F[n]``;
     ``B[n]`` holds the fixed points at boundary value 1.
     """
 
     perms: np.ndarray
-    cells: np.ndarray
+    prefix: int
+    rest: int
     owner: np.ndarray
     F: np.ndarray
     B: np.ndarray
 
     @classmethod
-    def of(cls, perms: np.ndarray) -> "CandidateBlock":
+    def of(cls, perms: np.ndarray, prefix: int, rest: int) -> "CandidateBlock":
         m, n_perms = perms.shape
-        rows = np.arange(m)[:, None]
-        fixed = (np.int64(1) << np.arange(m)) @ (perms == rows)
+        fixed = (np.int64(1) << np.arange(m)) @ (perms == np.arange(m)[:, None])
         counts = np.int64(1) << np.bitwise_count(fixed)
         owner = np.repeat(np.arange(n_perms), counts)
         # candidate n is the (n - first[owner[n]])-th of its permutation
         first = np.cumsum(counts) - counts
         flat, start = _boundary_layout(m)
         boundary = flat[(start[fixed] - first)[owner] + np.arange(len(owner))]
-        return cls(perms, rows * m + perms, owner, fixed[owner], boundary)
+        return cls(perms, prefix, rest, owner, fixed[owner], boundary)
 
     @property
     def face_class(self) -> np.ndarray:
@@ -172,28 +166,6 @@ class CandidateBlock:
         fixed, boundary = int(self.F[n]), int(self.B[n])
         values = {i + 1: boundary >> i & 1 for i in range(game.m) if fixed >> i & 1}
         return candidate_for(game, pi, values)
-
-
-def permutation_blocks(m: int) -> Iterator[np.ndarray]:
-    """All permutations of range(m) in lexicographic order, in blocks.
-
-    A block is an (m, s!) array whose columns are permutations.  They share
-    their first m - s images, s = min(m, BLOCK_LEN), and order the rest in
-    all s! ways.
-    """
-    s = min(m, BLOCK_LEN)
-    orders = kernel.suffix_orders(s)
-    for prefix in itertools.permutations(range(m), m - s):
-        rest = np.array(sorted(set(range(m)) - set(prefix)), dtype=np.int8)
-        perms = np.empty((m, orders.shape[1]), dtype=np.int8)
-        perms[: m - s] = np.array(prefix, dtype=np.int8)[:, None]
-        perms[m - s :] = rest[orders]
-        yield perms
-
-
-def increment_table(game: ProductTwoActionGame) -> np.ndarray:
-    """``S[j, x] = sigma_j(x)`` for 0-based j and x: the orderings as an int array."""
-    return np.array([s.images for s in game.ctuple.sigma], dtype=np.int64)
 
 
 def sign_table(game: ProductTwoActionGame) -> np.ndarray:
@@ -226,24 +198,6 @@ def _player_masks(flags: np.ndarray) -> np.ndarray:
     return np.moveaxis(flags, 1, -1) @ (np.int64(1) << np.arange(flags.shape[1]))
 
 
-def _per_permutation(masks: np.ndarray, block: CandidateBlock, combine: np.ufunc) -> np.ndarray:
-    """``combine`` over positions j of ``masks[j, pi(j)]``, for every permutation pi of a block."""
-    return combine.reduce(masks.take(block.cells), axis=0)
-
-
-def increment_masks(table: np.ndarray, v) -> tuple[np.ndarray, int]:
-    """``CM[j, a]`` and the sign-vector mask V of the increment route.
-
-    ``table`` is ``increment_table`` and ``v`` the sign vector.  ``CM[j, a]``
-    is the set of players i with ``sigma_j(a) >= sigma_j(i)``, and empty at
-    a = j, where j is a fixed point.
-    """
-    m = len(table)
-    cm = _player_masks(table[:, None, :] >= table[:, :, None])
-    cm[np.arange(m), np.arange(m)] = 0
-    return cm, sum(int(b) << i for i, b in enumerate(v))
-
-
 def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``NEG[j, a]``, ``ZER[j, a]`` and ``DT[B]`` of the sign route.
 
@@ -260,19 +214,21 @@ def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     neg[diagonal], zero[diagonal] = neg[:, m], zero[:, m]
     in_b = np.arange(1 << m)[:, None] >> np.arange(m) & 1
     dt = np.bitwise_xor.reduce(in_b * (neg[:, m] ^ neg[:, m + 1]), axis=1)
-    return neg[:, :m].copy(), zero[:, :m].copy(), dt
+    return neg[:, :m], zero[:, :m], dt
 
 
-def classify_by_increment(masks: tuple[np.ndarray, int], block: CandidateBlock) -> np.ndarray:
+def classify_by_increment(masks, block: CandidateBlock) -> np.ndarray:
     """Per candidate, True iff it is an equilibrium by the increment criterion.
 
-    ``masks`` is ``increment_masks``; the threshold values never enter.  At
-    every fixed point i the increment ``1 + b_i + v_i + zeros_excl_self + c_i``
-    must be even, where ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.
-    Bit i of ``C = XOR_j CM[j, pi(j)]`` is the parity of c_i.
+    ``masks`` is ``kernel.split_reduce(CM, np.bitwise_xor)``, where ``CM`` is
+    ``kernel.order_masks`` of the orderings with the sign vector's mask V
+    XORed into position 0; the threshold values never enter.  At every fixed
+    point i the increment ``1 + b_i + v_i + zeros_excl_self + c_i`` must be
+    even, where ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.  Bit i of
+    ``C = V XOR_j CM[j, pi(j)]`` is the parity of ``v_i + c_i``.
     """
-    cm, v = masks
-    c = _per_permutation(cm, block, np.bitwise_xor) ^ v
+    head, tail = masks
+    c = head[block.prefix] ^ tail[block.rest]
     fixed, ones = block.F, block.B
     zeros = fixed & ~ones
     # zeros_excl_self mod 2 at fixed point i: the parity of all zeros, XOR i's own zero
@@ -281,21 +237,20 @@ def classify_by_increment(masks: tuple[np.ndarray, int], block: CandidateBlock) 
     return (odd & fixed) == 0
 
 
-def classify_by_sign(
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray], block: CandidateBlock
-) -> np.ndarray:
+def classify_by_sign(masks, block: CandidateBlock) -> np.ndarray:
     """Per candidate, True iff it is an equilibrium by exact sign evaluation.
 
-    ``masks`` is ``sign_masks``.  Every boundary player's payoff difference
-    must point toward the chosen action: positive at value 1, negative at
-    value 0.  Interior players are indifferent by construction.  Bit i of
+    ``masks`` is ``sign_masks`` with NEG and ZER split by ``kernel.split_reduce``
+    by XOR and by OR.  Every boundary player's payoff difference must point
+    toward the chosen action: positive at value 1, negative at value 0.
+    Interior players are indifferent by construction.  Bit i of
     ``X = XOR_j NEG[j, pi(j)] XOR DT[B]`` says that player i's payoff
     difference has an odd number of negative factors, and bit i of
     ``Z = OR_j ZER[j, pi(j)]`` that it has a zero one.
     """
-    neg, zero, dt = masks
-    x = _per_permutation(neg, block, np.bitwise_xor)
-    z = _per_permutation(zero, block, np.bitwise_or)
+    (neg_head, neg_tail), (zero_head, zero_tail), dt = masks
+    x = neg_head[block.prefix] ^ neg_tail[block.rest]
+    z = zero_head[block.prefix] | zero_tail[block.rest]
     fixed, ones = block.F, block.B
     negative = x[block.owner] ^ dt[ones]
     return ((negative ^ ones) & fixed == fixed) & (z[block.owner] & fixed == 0)
@@ -311,12 +266,22 @@ def classified_blocks(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    xor = np.bitwise_xor
     if method != "sign":
-        inc_masks = increment_masks(increment_table(game), game.ctuple.v)
+        cm = kernel.order_masks([s.images for s in game.ctuple.sigma])
+        cm[0] ^= sum(int(b) << i for i, b in enumerate(game.ctuple.v))
+        inc_masks = kernel.split_reduce(cm, xor)
     if method != "increment":
-        sgn_masks = sign_masks(sign_table(game))
-    for perms in permutation_blocks(game.m):
-        block = CandidateBlock.of(perms)
+        neg, zero, dt = sign_masks(sign_table(game))
+        sgn_masks = kernel.split_reduce(neg, xor), kernel.split_reduce(zero, np.bitwise_or), dt
+    s = kernel.suffix_len(game.m)
+    prefixes, rest, sets = kernel.walk(game.m, s)
+    orders = kernel.suffix_orders(s)
+    for k, r in enumerate(rest.tolist()):
+        perms = np.empty((game.m, orders.shape[1]), dtype=np.int8)
+        perms[: len(prefixes)] = prefixes[:, k, None]
+        perms[len(prefixes) :] = sets[r][orders]
+        block = CandidateBlock.of(perms, k, r)
         if method == "sign":
             yield block, classify_by_sign(sgn_masks, block)
             continue

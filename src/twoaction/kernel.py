@@ -1,8 +1,8 @@
-"""Census kernel: per-face-class candidate and equilibrium counts, in NumPy.
+"""Census kernel and the permutation walk that every census shares, in NumPy.
 
-Counts the equilibrium candidates and the equilibria of a product game from
-its characteristic tuple alone, by the increment criterion.  Two facts keep
-the walk over all m! permutations short.
+The kernel counts the equilibrium candidates and the equilibria of a
+product game from its characteristic tuple alone, by the increment
+criterion.  Two facts keep the walk over all m! permutations short.
 
 * All or nothing.  At a fixed point t of pi the increment is
   ``base_t + zeros + 1`` mod 2, whatever the boundary value of t, where
@@ -21,13 +21,12 @@ a permutation's codes is then X in the low m bits and F above them, since the
 fixed-point bits of different positions never overlap.  X and F take 2m bits,
 so with a sign bit int32 holds them up to m = 15 and int64 above.
 
-Permutations are walked as a prefix of the first m - s positions times a
-suffix of the last s = min(m, SUFFIX_LEN), split by the set of values the
-suffix takes.  For a chunk of such value sets the codes of every suffix
-ordering and of every prefix ordering are built once, and every (prefix,
-suffix) pair of the chunk is tested and tallied in one pass.  A chunk holds
-at most CHUNK_ROWS pairs: whole value sets while they fit, else one value
-set with its prefixes split, and never less than one prefix's s! orderings.
+The walk.  Every census visits the m! permutations in lexicographic order,
+as each prefix of m - s images then the s! orderings of the values it leaves
+(``walk``), and reads a permutation's XOR or OR of table cells from a head
+per prefix and a tail per (value set, ordering) (``split_reduce``).  The
+kernel tallies chunks of consecutive prefixes, at most CHUNK_ROWS pairs and at
+least one prefix a chunk; ``candidate_engine`` classifies one prefix a block.
 """
 
 from __future__ import annotations
@@ -40,28 +39,74 @@ import numpy as np
 
 KERNEL = "numpy"
 
-SUFFIX_LEN = 7  # s! = 5040 suffix orderings per value set
-CHUNK_ROWS = 1 << 15  # (prefix, suffix) pairs per vector operation
+SUFFIX_LEN = 6  # s = min(m, SUFFIX_LEN): 720 orderings per prefix
+CHUNK_ROWS = 1 << 15  # (prefix, ordering) pairs per vector operation
+
+
+def suffix_orders(s: int) -> np.ndarray:
+    """All s! orderings of range(s): row c holds the value at position c."""
+    return walk(s, 0)[0]
+
+
+def suffix_len(m: int) -> int:
+    return min(m, SUFFIX_LEN)
 
 
 @functools.cache
-def suffix_orders(s: int) -> np.ndarray:
-    """All s! orderings of range(s): row c holds the value at position c."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(s)))
-    n = math.factorial(s)
-    return np.fromiter(flat, dtype=np.int8, count=s * n).reshape(n, s).T.copy()
+def walk(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prefixes of the first m - s images, in lexicographic order, and what each leaves.
 
-
-def _ordering_codes(codes: np.ndarray, sets: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Code of every ordering of each value set over the positions of ``codes``.
-
-    Row i, column c is the XOR over positions j of
-    ``codes[j, sets[i, orders[j, c]]]``.
+    ``prefixes[j, k]`` is position j's image under prefix k, and ``sets[rest[k]]``
+    the values it leaves; prefix k, then ``sets[rest[k]]`` in each ordering
+    of ``suffix_orders(s)``, lists the permutations of range(m) in order.
     """
-    out = np.zeros((len(sets), orders.shape[1]), dtype=codes.dtype)
-    for row, order in zip(codes, orders):
-        out ^= np.take(row[sets], order, axis=1)
-    return out
+    p = m - s
+    n = math.perm(m, p)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(m), p))
+    prefixes = np.fromiter(flat, dtype=np.int8, count=p * n).reshape(n, p).T.copy()
+    sets = np.array(list(itertools.combinations(range(m), s)), dtype=np.int8)
+    bits = np.int32(1) << np.arange(m, dtype=np.int32)
+    index = np.zeros(1 << m, dtype=np.int32)
+    index[bits[sets].sum(axis=1)] = np.arange(len(sets), dtype=np.int32)
+    used = np.zeros(n, dtype=np.int32)  # one row at a time: no (m - s, n) temporary
+    for images in prefixes:
+        used |= bits[images]
+    tables = prefixes, index[used ^ ((1 << m) - 1)], sets
+    for table in tables:  # cached: every caller shares them
+        table.flags.writeable = False
+    return tables
+
+
+def split_reduce(table: np.ndarray, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` (a bitwise ufunc, identity 0) over every permutation's cells, in two parts.
+
+    With ``walk(m, s)``, s = ``suffix_len(m)``, ``head[k]`` reduces prefix
+    k's cells ``table[j, prefixes[j, k]]``, and ``tail[r, c]`` the cells of
+    the last s positions under the c-th ordering of ``sets[r]``, so prefix k
+    then ordering c reduces to ``op(head[k], tail[rest[k], c])``.
+    """
+    m = len(table)
+    s = suffix_len(m)
+    prefixes, _, sets = walk(m, s)
+    head = np.zeros(prefixes.shape[1], dtype=table.dtype)
+    for row, images in zip(table, prefixes):
+        op(head, row[images], out=head)
+    orders = suffix_orders(s)
+    tail = np.zeros((len(sets), orders.shape[1]), dtype=table.dtype)
+    for row, order in zip(table[m - s :], orders):
+        op(tail, np.take(row[sets], order, axis=1), out=tail)
+    return head, tail
+
+
+def order_masks(sigma) -> np.ndarray:
+    """``M[j, a]``, the players i with ``sigma_j(a) >= sigma_j(i)``, as bit masks.
+
+    ``sigma[j][i]`` is ``sigma_j(i)``; ``M[j, j]`` is empty, as j is then fixed.
+    """
+    images = np.asarray(sigma, dtype=np.int64)
+    masks = (images[:, :, None] >= images[:, None, :]) @ (np.int64(1) << np.arange(len(images)))
+    np.fill_diagonal(masks, 0)
+    return masks
 
 
 def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
@@ -72,41 +117,26 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     values).  Returns (candidates, equilibria) as lists of Python ints, both
     indexed by the face class l = number of boundary coordinates.
     """
-    s = min(m, SUFFIX_LEN)
-    p = m - s
     dtype = np.int32 if 2 * m + 1 <= 32 else np.int64
-    images = np.asarray(sigma, dtype=np.int64).reshape(m, m)
-    bits = np.int64(1) << np.arange(m, dtype=np.int64)
-    # code[j, a]: M[j, a], the players i with sigma_j(a) >= sigma_j(i), and bit m + j if a == j
-    codes = ((images[:, :, None] >= images[:, None, :]) * bits).sum(axis=2)
-    codes[np.arange(m), np.arange(m)] = bits << m
+    codes = order_masks(np.reshape(sigma, (m, m)))
+    codes[np.arange(m), np.arange(m)] = np.int64(1) << np.arange(m, 2 * m)
     codes[0] ^= sum(1 << i for i in range(m) if not v[i])
-    codes = codes.astype(dtype)
+    head, tail = split_reduce(codes.astype(dtype), np.bitwise_xor)
+    _, rest, _ = walk(m, suffix_len(m))
 
-    # value sets of the suffix, and the values each leaves to the prefix
-    tails = list(itertools.combinations(range(m), s))
-    heads = np.array([[a for a in range(m) if a not in t] for t in tails], dtype=np.intp)
-    tails = np.array(tails, dtype=np.intp)
-
-    head_orders, tail_orders = suffix_orders(p), suffix_orders(s)
-    n_head, n_tail = head_orders.shape[1], tail_orders.shape[1]
-    sets_per_chunk = max(1, CHUNK_ROWS // (n_head * n_tail))
-    heads_per_chunk = max(1, CHUNK_ROWS // n_tail)
+    rows = max(1, CHUNK_ROWS // tail.shape[1])
     # tally[2F + ok]: permutations with fixed-point mask F that fail (ok = 0) or pass
     tally = np.zeros(2 << m, dtype=np.int64)
-    for lo in range(0, len(tails), sets_per_chunk):
-        chunk = slice(lo, lo + sets_per_chunk)
-        head = _ordering_codes(codes[:p], heads[chunk], head_orders)
-        tail = _ordering_codes(codes[p:], tails[chunk], tail_orders)[:, None, :]
-        for a in range(0, n_head, heads_per_chunk):
-            pair = head[:, a : a + heads_per_chunk, None] ^ tail
-            fixed = pair >> m
-            hit = np.bitwise_and(pair, fixed, out=pair)
-            ok = hit == 0
-            ok |= hit == fixed
-            fixed <<= 1
-            fixed |= ok
-            tally += np.bincount(fixed.ravel(), minlength=2 << m)
+    for lo in range(0, len(head), rows):
+        pair = tail[rest[lo : lo + rows]]
+        pair ^= head[lo : lo + rows, None]
+        fixed = pair >> m
+        hit = np.bitwise_and(pair, fixed, out=pair)
+        ok = hit == 0
+        ok |= hit == fixed
+        fixed <<= 1
+        fixed |= ok
+        tally += np.bincount(fixed.ravel(), minlength=2 << m)
 
     # fold the masks F into their fixed-point counts k
     by_k = np.zeros((m + 1, 2), dtype=np.int64)

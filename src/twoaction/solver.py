@@ -77,7 +77,8 @@ _INFINITY = 1e8
 # two endpoints closer than it are the same point.
 _ENDPOINT_TOL = 1e-8
 # An equilibrium's boundary players must prefer their action by at least
-# _MARGIN_TOL; below _NEAR_DEGENERATE_TOL it is flagged near-degenerate.
+# _MARGIN_TOL; below _NEAR_DEGENERATE_TOL it is flagged near-degenerate.  Both,
+# like SolverConfig.residual_tol, are in units of the largest payoff difference.
 _MARGIN_TOL = 1e-12
 _NEAR_DEGENERATE_TOL = 1e-8
 
@@ -333,6 +334,7 @@ def _solve_batch(
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria and statistics (``solve_all``'s keys) of supports with the same r."""
     n, r = len(supports), len(supports[0].free_players)
+    unit = np.abs(vertex).max() or 1.0
     coeffs = _face_coefficients(vertex, supports)
     free = np.array([sp.free_players for sp in supports], dtype=int).reshape(n, r) - 1
     own = np.take_along_axis(coeffs, free[..., None], axis=1)
@@ -343,7 +345,7 @@ def _solve_batch(
         # The single equation does not involve the free coordinate: it either
         # fails (generic) or degenerates to a continuum, reported but never
         # counted.
-        degenerate = np.abs(own[:, 0, 0]) <= config.residual_tol
+        degenerate = np.abs(own[:, 0, 0]) <= config.residual_tol * unit
     elif r >= 2:
         scale = np.abs(own).max(axis=2)
         degenerate = (scale == 0).any(axis=1)
@@ -362,12 +364,12 @@ def _solve_batch(
     residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
     np.put_along_axis(values, free[sup], np.inf, axis=1)
     margin = (sign[sup] * values).min(axis=1, initial=np.inf)
-    unproven = residual > config.residual_tol
+    unproven = residual > config.residual_tol * unit
     state[sup[unproven], path[unproven]] = _FAILED
 
     solutions: list[SolverEquilibrium] = []
     for s, point, res, mar in zip(sup, points, residual, margin):
-        if res <= config.residual_tol and mar >= _MARGIN_TOL:
+        if res <= config.residual_tol * unit and mar >= _MARGIN_TOL * unit:
             gamma = supports[s].fixed_gamma()
             gamma[free[s]] = point
             solutions.append(
@@ -376,7 +378,7 @@ def _solve_batch(
                     support=supports[s],
                     residual=float(res),
                     margin=float(mar),
-                    near_degenerate=bool(mar < _NEAR_DEGENERATE_TOL),
+                    near_degenerate=bool(mar < _NEAR_DEGENERATE_TOL * unit),
                 )
             )
     # r = 0 tracks no path: its one state is the vertex candidate's

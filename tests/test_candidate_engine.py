@@ -18,10 +18,10 @@ from _oracles import (
 )
 from twoaction import candidate_engine, kernel
 from twoaction.candidate_engine import (
-    CandidateBlock,
     MethodDisagreement,
     candidate_for,
     census,
+    classified_blocks,
     enumerate_candidates,
     equilibria,
 )
@@ -194,13 +194,9 @@ def _flipped_sign_table(game):
 
 def _block_masks(game):
     """Keys and both routes' masks of the block classifier, in enumeration order."""
-    inc_masks = candidate_engine.increment_masks(
-        candidate_engine.increment_table(game), game.ctuple.v
-    )
-    sign_masks = candidate_engine.sign_masks(candidate_engine.sign_table(game))
     keys, by_inc, by_sign = [], [], []
-    for perms in candidate_engine.permutation_blocks(game.m):
-        block = CandidateBlock.of(perms)
+    blocks = zip(classified_blocks(game, "increment"), classified_blocks(game, "sign"))
+    for (block, inc), (_, sign) in blocks:
         for n in range(len(block.owner)):
             fixed, ones = int(block.F[n]), int(block.B[n])
             assert ones & ~fixed == 0
@@ -208,8 +204,8 @@ def _block_masks(game):
                 (i + 1, ones >> i & 1) for i in range(game.m) if fixed >> i & 1
             )
             keys.append((tuple(int(x) + 1 for x in block.perms[:, block.owner[n]]), boundary))
-        by_inc += candidate_engine.classify_by_increment(inc_masks, block).tolist()
-        by_sign += candidate_engine.classify_by_sign(sign_masks, block).tolist()
+        by_inc += inc.tolist()
+        by_sign += sign.tolist()
     return keys, by_inc, by_sign
 
 
@@ -271,9 +267,10 @@ class TestBlockClassifier:
 
     def test_blocks_walk_permutations_in_order(self):
         for m in (1, 3, 8):
-            blocks = list(candidate_engine.permutation_blocks(m))
-            assert all(b.shape[1] <= 5040 for b in blocks)
-            perms = np.concatenate(blocks, axis=1).T.tolist()
+            blocks = [block for block, _ in classified_blocks(maximal_game(m), "increment")]
+            assert all(b.perms.shape[1] <= 5040 for b in blocks)
+            assert [b.prefix for b in blocks] == list(range(len(blocks)))
+            perms = np.concatenate([b.perms for b in blocks], axis=1).T.tolist()
             assert [tuple(p) for p in perms] == list(itertools.permutations(range(m)))
 
     @pytest.mark.parametrize("method", ["increment", "sign", "both"])

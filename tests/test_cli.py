@@ -310,6 +310,18 @@ class TestInputValidation:
             (["solve", "string-m.json"], "key 'm' must be an integer, not a string"),
             (["solve", "null-utility.json"], "float() argument must be"),
             (["solve", "number.json"], "the game file must hold a JSON object, not an integer"),
+            (
+                ["construct", "--m", "3", "--sigma", "(2 3;id;id", "--out", "g.json"],
+                "malformed cycle notation '(2 3'",
+            ),
+            (
+                ["construct", "--m", "3", "--sigma", "(2 3)junk;id;id", "--out", "g.json"],
+                "malformed cycle notation '(2 3)junk'",
+            ),
+            (
+                ["construct", "--m", "3", "--sigma", "(2 2);id;id", "--out", "g.json"],
+                "cycle entry outside 1..3 or repeated in '(2 2)'",
+            ),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

@@ -1,7 +1,9 @@
 import importlib.util
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _census_py import census_increment as census_py
@@ -53,7 +55,7 @@ class TestKernelAgreement:
             assert kernel.census_increment(*args) == census_py(*args)
 
     def test_prefix_walk_m8(self, random_characteristic_tuple):
-        # m = 8 is the first m walked as prefixes times the suffix table
+        # m = 8 walks 56 prefixes of two images, each with its value set's 720 orderings
         rng = random.Random(29)
         for _ in range(2):
             args = _as_kernel_args(random_characteristic_tuple(8, rng))
@@ -79,28 +81,63 @@ class TestKernelAgreement:
         assert all(type(n) is int for n in cand + eq)
 
 
+class TestWalk:
+    @pytest.mark.parametrize(
+        "m, s", [(m, s) for m in range(1, 8) for s in range(1, m + 1)] + [(9, 6)]
+    )
+    def test_walk_then_orderings_is_lexicographic(self, m, s):
+        prefixes, rest, sets = kernel.walk(m, s)
+        orders = kernel.suffix_orders(s)
+        perms = [
+            tuple(prefixes[:, k]) + tuple(sets[r][orders[:, c]])
+            for k, r in enumerate(rest)
+            for c in range(orders.shape[1])
+        ]
+        assert perms == list(itertools.permutations(range(m)))
+
+    def test_cached_tables_are_read_only(self):
+        for table in (*kernel.walk(5, 3), kernel.suffix_orders(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_split_reduce_matches_every_permutation(self, m):
+        rng = np.random.default_rng(m)
+        table = rng.integers(0, 1 << m, size=(m, m))
+        _, rest, _ = kernel.walk(m, kernel.suffix_len(m))
+        for op in (np.bitwise_xor, np.bitwise_or):
+            head, tail = kernel.split_reduce(table, op)
+            got = op(head[:, None], tail[rest]).ravel().tolist()
+            expected = [
+                int(op.reduce(table[np.arange(m), pi])) for pi in itertools.permutations(range(m))
+            ]
+            assert got == expected
+
+
 class TestChunkBoundaries:
-    # A value set of the suffix carries (m - s)! * s! (prefix, suffix) pairs:
-    # 24 * 6 = 144 at m = 7, s = 3 (35 value sets), 24 * 24 = 576 at m = 8,
-    # s = 4 (70 value sets) and 1 * 5040 at m = 8, s = 7 (8 value sets).
+    # A chunk is CHUNK_ROWS // s! consecutive prefixes of the walk, and at
+    # least one.  At m = 7, s = 3 the walk has 840 prefixes of 4 images,
+    # in runs of 4 that share the first 3; at m = 8, s = 4, 1680 prefixes
+    # in runs of 5.
     @pytest.mark.parametrize(
         "m, splits",
         [
             (
                 7,
                 [
-                    (3, 300),  # 2 value sets a chunk, the last one alone
-                    (3, 30),  # 5 of a value set's 24 prefixes a chunk, the last 4
-                    (3, 1),  # one prefix a chunk, below the cap: the s! floor
+                    (3, 66),  # 11 prefixes a chunk, splitting runs; the last chunk 4
+                    (3, 5),  # below s! = 6: one prefix a chunk, the s! floor
+                    (1, 1000),  # s = 1: 1000 prefixes of one ordering a chunk, the last 40
+                    (7, 100),  # s = m: the one empty prefix, 5040 orderings past the cap
                 ],
             ),
             (
                 8,
                 [
-                    (4, 2000),  # 3 value sets a chunk, the last one alone
-                    (4, 120),  # 5 prefixes a chunk, the last 4 of a value set
-                    (7, 12000),  # 2 value sets a chunk
-                    (7, 1000),  # one value set a chunk, below the cap
+                    (4, 2000),  # 83 prefixes a chunk, splitting runs; the last chunk 20
+                    (4, 20),  # below s! = 24: the s! floor
+                    (1, 1 << 15),  # s = 1: two chunks, the last 7552 prefixes
+                    (8, 1000),  # s = m: one chunk of all 40320 orderings
                 ],
             ),
         ],

@@ -6,12 +6,14 @@ is caught here first.  Nothing under perfbench/ is changed or run.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoaction import candidate_engine, solver
+from twoaction import candidate_engine, kernel, solver
+from twoaction.game_model import maximal_game
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +43,25 @@ def test_report_fields_the_benchmark_reads(perfbench):
     game = solver.random_generic_game(3, np.random.default_rng(0))
     stats = solver.solve_all(game, workloads.SOLVER_CONFIG).stats
     assert {"starts", "converged", "degenerate_supports"} <= stats.keys()
+
+
+def test_call_shapes_the_benchmark_binds(monkeypatch):
+    # tracing._after_kernel and workloads.kernel_per_class bind the kernel's
+    # arguments as (m, v, sigma) by position; workloads.streaming_per_class
+    # bypasses the kernel through census(..., use_kernel=False)
+    params = list(inspect.signature(kernel.census_increment).parameters.values())
+    assert [p.name for p in params] == ["m", "v", "sigma"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert "use_kernel" in inspect.signature(candidate_engine.census).parameters
+
+    calls = []
+    real = kernel.census_increment
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "census_increment", spy)
+    candidate_engine.census(maximal_game(3), "increment")
+    candidate_engine.census(maximal_game(3), "increment", use_kernel=False)
+    assert calls == [(3, {})]

@@ -114,6 +114,20 @@ class TestSolveAll:
         match_sets([e.gamma for e in report.equilibria], exact, 1e-9)
         assert report.stats["failed"] == 0
 
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_utility_scale_changes_no_answer(self, c):
+        # c * G has the equilibria of G: residuals and margins are measured
+        # against the game's own scale, not in absolute units
+        rng = np.random.default_rng(3)
+        games = [maximal_game(4).tensor.as_float()]
+        games += [random_generic_game(m, rng) for m in (3, 3, 3, 3, 4, 4, 4)]
+        for game in games:
+            utilities = [[c * u for u in table] for table in game.utilities]
+            base = solve_all(game)
+            scaled = solve_all(TwoActionGame(game.m, utilities, mode=FLOAT))
+            assert scaled.face_census == base.face_census
+            assert scaled.stats["failed"] == base.stats["failed"] == 0
+
     def test_threads_give_same_answer(self):
         game = maximal_game(3)
         one = solve_all(game)
