@@ -11,7 +11,6 @@ from .combinatorics import (
     candidate_count,
     candidates_on_face_class,
     enumerate_derangements,
-    enumerate_permutations,
     maximal_equilibrium_count,
     subfactorial,
 )
@@ -32,7 +31,6 @@ from .candidate_engine import (
     EquilibriumCandidate,
     MethodDisagreement,
     census,
-    enumerate_candidates,
     equilibria,
 )
 from .solver import (

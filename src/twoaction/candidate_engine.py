@@ -6,6 +6,10 @@ at the thresholds gamma_j = a[pi(j), j], fixed coordinates at the assigned
 boundary value.  Classification runs by two independent exact routes,
 evaluated in NumPy on m-bit player masks (bit i is player i) for every
 candidate of a block: the permutations that share a prefix of ``kernel.walk``.
+The blocks depend on m alone (``candidate_blocks``): a permutation's
+fixed-point mask F comes from the same split as the route masks below, and
+the masks B of its boundary assignments from one table per m, so the only
+permutation ever built is the one a reported candidate names.
 
 * increment: integer arithmetic mod 2 over the characteristic tuple only,
   through the table sigma_j(x); the threshold values never enter;
@@ -23,14 +27,14 @@ at every fixed point, so it does not share the census kernel's
 all-or-nothing shortcut and checks the kernel independently.
 
 Agreement of the two routes on every candidate is the engine's standing
-regression check.  The per-candidate versions of both routes live in the
-tests, as the reference the block routes are compared against.
+regression check.  The per-candidate versions of both routes, and the
+scalar enumeration of the candidates, live in the tests, as the reference
+the blocks are compared against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
@@ -41,7 +45,6 @@ from . import kernel
 from .combinatorics import (
     Permutation,
     candidates_on_face_class,
-    enumerate_permutations,
     maximal_equilibrium_count,
 )
 from .game_model import ProductTwoActionGame
@@ -101,15 +104,7 @@ def candidate_for(
     )
 
 
-def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCandidate]:
-    """All equilibrium candidates, grouped by permutation in lexicographic order."""
-    for pi in enumerate_permutations(game.m):
-        fixed = pi.fixed_points()
-        for bits in itertools.product((0, 1), repeat=len(fixed)):
-            yield candidate_for(game, pi, dict(zip(fixed, bits)))
-
-
-@functools.cache
+@functools.lru_cache(maxsize=2)  # a census reads one m; 3^m entries each
 def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The boundary masks of every fixed-point mask, in enumeration order.
 
@@ -123,49 +118,64 @@ def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
         top = 1 << (f.bit_length() - 1)
         lists.append((lists[f ^ top][:, None] | np.array([0, top])).ravel())
     counts = np.int64(1) << np.bitwise_count(np.arange(1 << m))
-    return np.concatenate(lists), np.cumsum(counts) - counts
+    tables = np.concatenate(lists), np.cumsum(counts) - counts
+    for table in tables:  # cached: every block shares them
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
 class CandidateBlock:
     """The candidates of one prefix's permutations, in enumeration order.
 
-    Players and values are 0-based, and bit i of a mask is player i.
-    ``perms[j, c]`` is the image of player j under the block's c-th
-    permutation: the ``prefix``-th prefix of ``kernel.walk`` followed by the
-    c-th ordering of its value set, the ``rest``-th.  Candidate n belongs to
-    permutation ``owner[n]``, whose fixed points are the mask ``F[n]``;
-    ``B[n]`` holds the fixed points at boundary value 1.
+    Players and values are 0-based, and bit i of a mask is player i.  The
+    block's c-th permutation is the ``prefix``-th prefix of ``kernel.walk``
+    followed by the c-th ordering of its value set, the ``rest``-th.
+    Candidate n belongs to permutation ``owner[n]``, whose fixed points are
+    the mask ``F[n]``; ``B[n]`` holds the fixed points at boundary value 1.
     """
 
-    perms: np.ndarray
     prefix: int
     rest: int
     owner: np.ndarray
     F: np.ndarray
     B: np.ndarray
 
-    @classmethod
-    def of(cls, perms: np.ndarray, prefix: int, rest: int) -> "CandidateBlock":
-        m, n_perms = perms.shape
-        fixed = (np.int64(1) << np.arange(m)) @ (perms == np.arange(m)[:, None])
-        counts = np.int64(1) << np.bitwise_count(fixed)
-        owner = np.repeat(np.arange(n_perms), counts)
-        # candidate n is the (n - first[owner[n]])-th of its permutation
-        first = np.cumsum(counts) - counts
-        flat, start = _boundary_layout(m)
-        boundary = flat[(start[fixed] - first)[owner] + np.arange(len(owner))]
-        return cls(perms, prefix, rest, owner, fixed[owner], boundary)
-
     @property
     def face_class(self) -> np.ndarray:
         return np.bitwise_count(self.F)
 
+    def permutation(self, m: int, c: int) -> Permutation:
+        """The block's c-th permutation, of the players 1..m."""
+        s = kernel.suffix_len(m)
+        prefixes, _, sets = kernel.walk(m, s)
+        suffix = sets[self.rest][kernel.suffix_orders(s)[:, c]]
+        return Permutation((np.concatenate([prefixes[:, self.prefix], suffix]) + 1).tolist())
+
     def candidate(self, game: ProductTwoActionGame, n: int) -> EquilibriumCandidate:
-        pi = Permutation((self.perms[:, self.owner[n]] + 1).tolist())
+        pi = self.permutation(game.m, self.owner[n])
         fixed, boundary = int(self.F[n]), int(self.B[n])
         values = {i + 1: boundary >> i & 1 for i in range(game.m) if fixed >> i & 1}
         return candidate_for(game, pi, values)
+
+
+def candidate_blocks(m: int) -> Iterator[CandidateBlock]:
+    """The block of every prefix of ``kernel.walk``: all candidates, in enumeration order.
+
+    A permutation's fixed-point mask F is the OR of its cells of the table
+    with bit j at (j, j), split over the walk as every other mask is.
+    """
+    head, tail = kernel.split_reduce(np.diag(np.int64(1) << np.arange(m)), np.bitwise_or)
+    _, rest, _ = kernel.walk(m, kernel.suffix_len(m))
+    flat, start = _boundary_layout(m)
+    for k, r in enumerate(rest.tolist()):
+        fixed = head[k] | tail[r]
+        counts = np.int64(1) << np.bitwise_count(fixed)
+        owner = np.repeat(np.arange(len(fixed)), counts)
+        # candidate n is the (n - first[owner[n]])-th of its permutation
+        first = np.cumsum(counts) - counts
+        boundary = flat[(start[fixed] - first)[owner] + np.arange(len(owner))]
+        yield CandidateBlock(k, r, owner, fixed[owner], boundary)
 
 
 def sign_table(game: ProductTwoActionGame) -> np.ndarray:
@@ -274,14 +284,7 @@ def classified_blocks(
     if method != "increment":
         neg, zero, dt = sign_masks(sign_table(game))
         sgn_masks = kernel.split_reduce(neg, xor), kernel.split_reduce(zero, np.bitwise_or), dt
-    s = kernel.suffix_len(game.m)
-    prefixes, rest, sets = kernel.walk(game.m, s)
-    orders = kernel.suffix_orders(s)
-    for k, r in enumerate(rest.tolist()):
-        perms = np.empty((game.m, orders.shape[1]), dtype=np.int8)
-        perms[: len(prefixes)] = prefixes[:, k, None]
-        perms[len(prefixes) :] = sets[r][orders]
-        block = CandidateBlock.of(perms, k, r)
+    for block in candidate_blocks(game.m):
         if method == "sign":
             yield block, classify_by_sign(sgn_masks, block)
             continue

@@ -23,8 +23,8 @@ from . import kernel
 from .candidate_engine import (
     METHODS,
     MethodDisagreement,
+    candidate_blocks,
     census,
-    enumerate_candidates,
 )
 from .combinatorics import (
     Permutation,
@@ -151,7 +151,12 @@ def cmd_candidates(args) -> int:
     game = _read_game(args.game)
     entries = []
     lines = []
-    for cand in enumerate_candidates(game):
+    cands = (
+        block.candidate(game, n)
+        for block in candidate_blocks(game.m)
+        for n in range(len(block.owner))
+    )
+    for cand in cands:
         entries.append(
             {
                 "pi": list(cand.pi.images),

@@ -98,14 +98,6 @@ def maximal_equilibrium_count(m: int) -> int:
     return total // 2
 
 
-def enumerate_permutations(m: int) -> Iterator[Permutation]:
-    """All permutations of {1..m} in lexicographic order of image sequences."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    for images in itertools.permutations(range(1, m + 1)):
-        yield Permutation(images)
-
-
 def enumerate_derangements(m: int) -> Iterator[Permutation]:
     """All fixed-point-free permutations of {1..m}, lexicographic order."""
     for images in itertools.permutations(range(1, m + 1)):

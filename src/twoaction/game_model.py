@@ -316,6 +316,9 @@ class ProductTwoActionGame:
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProductTwoActionGame":
         m = _json_field(data, "m", int)
+        mode = _json_field(data, "mode", str)
+        if mode != EXACT:
+            raise ValueError(f"key 'mode' of a product game must be {EXACT!r}, not {mode!r}")
         product = _json_field(data, "product", dict)
         v = _json_field(product, "v", list, "product.v")
         sigma = _json_field(product, "sigma", list, "product.sigma")
@@ -329,9 +332,6 @@ class ProductTwoActionGame:
         # Sanity: the stored tensor must match the rebuilt one.  A file as
         # save_game writes it equals the canonical text in one comparison;
         # otherwise a stored entry is parsed when it is not spelled canonically.
-        if data["mode"] != EXACT:
-            TwoActionGame.from_dict(data)
-            return game
         stored = _json_field(data, "utilities", list)
         texts = game._tensor_texts()
         if stored == texts:

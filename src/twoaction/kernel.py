@@ -52,7 +52,7 @@ def suffix_len(m: int) -> int:
     return min(m, SUFFIX_LEN)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4)  # a census reads walk(m, s) and walk(s, 0); 4 serve two m
 def walk(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefixes of the first m - s images, in lexicographic order, and what each leaves.
 

@@ -17,20 +17,24 @@ extension entry by entry, ``utility`` reads one pure profile through
 ``profile_index``, and ``chi``, ``is_identity`` and ``is_derangement`` are
 the order indicator and permutation predicates the other oracles and the
 tests read.
+
+``enumerate_permutations`` and ``enumerate_candidates`` walk the candidates
+one at a time with ``itertools``, permutations in lexicographic order and a
+permutation's boundary assignments with its first fixed point most
+significant; the library lists them by blocks of ``kernel.walk``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement
+from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement, candidate_for
 from twoaction.combinatorics import (
     Permutation,
     block_swap_permutation,
     candidates_on_face_class,
-    enumerate_permutations,
 )
 from twoaction.game_model import EXACT, ProductTwoActionGame, TwoActionGame
 
@@ -46,6 +50,22 @@ def is_derangement(p: Permutation) -> bool:
 
 def is_identity(p: Permutation) -> bool:
     return all(img == i for i, img in enumerate(p.images, start=1))
+
+
+def enumerate_permutations(m: int) -> Iterator[Permutation]:
+    """All permutations of {1..m} in lexicographic order of image sequences."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    for images in itertools.permutations(range(1, m + 1)):
+        yield Permutation(images)
+
+
+def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCandidate]:
+    """All equilibrium candidates, grouped by permutation in lexicographic order."""
+    for pi in enumerate_permutations(game.m):
+        fixed = pi.fixed_points()
+        for bits in itertools.product((0, 1), repeat=len(fixed)):
+            yield candidate_for(game, pi, dict(zip(fixed, bits)))
 
 
 def profile_index(bits: Sequence[int]) -> int:

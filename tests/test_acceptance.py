@@ -17,6 +17,7 @@ import pytest
 from _oracles import (
     candidate_count_by_faces,
     classify,
+    enumerate_candidates,
     lam_at_profile,
     subfactorial_alternating_sum,
     subfactorial_pair_recursion,
@@ -24,7 +25,6 @@ from _oracles import (
 )
 from twoaction.candidate_engine import (
     census,
-    enumerate_candidates,
     equilibria,
 )
 from twoaction.combinatorics import (

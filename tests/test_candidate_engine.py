@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from _oracles import (
@@ -10,6 +9,7 @@ from _oracles import (
     classify,
     classify_by_increment,
     classify_by_sign,
+    enumerate_candidates,
     increment,
     lam_at_profile,
     lam_factored,
@@ -19,10 +19,10 @@ from _oracles import (
 from twoaction import candidate_engine, kernel
 from twoaction.candidate_engine import (
     MethodDisagreement,
+    candidate_blocks,
     candidate_for,
     census,
     classified_blocks,
-    enumerate_candidates,
     equilibria,
 )
 from twoaction.combinatorics import (
@@ -203,7 +203,7 @@ def _block_masks(game):
             boundary = tuple(
                 (i + 1, ones >> i & 1) for i in range(game.m) if fixed >> i & 1
             )
-            keys.append((tuple(int(x) + 1 for x in block.perms[:, block.owner[n]]), boundary))
+            keys.append((block.candidate(game, n).pi.images, boundary))
         by_inc += inc.tolist()
         by_sign += sign.tolist()
     return keys, by_inc, by_sign
@@ -265,13 +265,30 @@ class TestBlockClassifier:
             expected = [[0 if a == j else 1 << a for a in range(m)] for j in range(m)]
             assert zero.tolist() == expected
 
+    def test_boundary_layout_cache_is_bounded(self):
+        layout = candidate_engine._boundary_layout
+        maxsize = layout.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 8
+        for m in range(2, 10):
+            next(candidate_blocks(m))
+        assert layout.cache_info().currsize <= maxsize
+        for table in layout(9):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     def test_blocks_walk_permutations_in_order(self):
         for m in (1, 3, 8):
             blocks = [block for block, _ in classified_blocks(maximal_game(m), "increment")]
-            assert all(b.perms.shape[1] <= 5040 for b in blocks)
+            # every permutation owns a candidate, so owner ends at the block's last one
+            sizes = [int(b.owner[-1]) + 1 for b in blocks]
+            assert all(size <= 5040 for size in sizes)
             assert [b.prefix for b in blocks] == list(range(len(blocks)))
-            perms = np.concatenate([b.perms for b in blocks], axis=1).T.tolist()
-            assert [tuple(p) for p in perms] == list(itertools.permutations(range(m)))
+            perms = [
+                tuple(x - 1 for x in b.permutation(m, c).images)
+                for b, size in zip(blocks, sizes)
+                for c in range(size)
+            ]
+            assert perms == list(itertools.permutations(range(m)))
 
     @pytest.mark.parametrize("method", ["increment", "sign", "both"])
     def test_equilibria_match_oracle_filter(self, method, random_product_game):

@@ -2,15 +2,18 @@ import argparse
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from _oracles import enumerate_candidates
 from twoaction import candidate_engine, solver
 from twoaction.cli import build_parser, main, parse_permutation
 from twoaction.combinatorics import Permutation
+from twoaction.game_model import maximal_game, save_game
 
 
 # Game files whose JSON values have the wrong type.
@@ -145,6 +148,35 @@ class TestConstructClassifySolve:
         data = json.loads(capsys.readouterr().out)
         assert data["count"] == 5
         assert sorted(c["face_class"] for c in data["candidates"]) == [0, 2, 2, 2, 2]
+
+    def test_candidates_match_oracle(self, tmp_path, capsys, random_product_game):
+        # pins both formats byte for byte against the scalar enumeration
+        rng = random.Random(515)
+        games = [maximal_game(m) for m in range(1, 6)]
+        games += [random_product_game(rng.randint(1, 5), rng) for _ in range(12)]
+        path = tmp_path / "game.json"
+        for game in games:
+            save_game(game, path)
+            cands = list(enumerate_candidates(game))
+            entries = [
+                {
+                    "pi": list(c.pi.images),
+                    "boundary": {str(i): val for i, val in c.boundary},
+                    "gamma": [f"{g.numerator}/{g.denominator}" for g in c.gamma],
+                    "face_class": c.face_class,
+                }
+                for c in cands
+            ]
+            data = {"m": game.m, "count": len(cands), "candidates": entries}
+            assert main(["candidates", str(path), "--format", "json"]) == 0
+            assert capsys.readouterr().out == json.dumps(data, indent=1) + "\n"
+            lines = [
+                f"pi={list(c.pi.images)} l={c.face_class} gamma=({' '.join(map(str, c.gamma))})"
+                for c in cands
+            ]
+            assert main(["candidates", str(path)]) == 0
+            text = "\n".join(lines) + f"\ntotal {len(cands)} candidates\n"
+            assert capsys.readouterr().out == text
 
     def test_expect_maximal_failure_exit_code(self, tmp_path, capsys):
         game = tmp_path / "g.json"

@@ -6,6 +6,7 @@ from _oracles import (
     block_swap_images_closed_form,
     candidate_count_by_faces,
     chi,
+    enumerate_permutations,
     is_derangement,
     is_identity,
     subfactorial_alternating_sum,
@@ -17,7 +18,6 @@ from twoaction.combinatorics import (
     candidate_count,
     candidates_on_face_class,
     enumerate_derangements,
-    enumerate_permutations,
     maximal_equilibrium_count,
     subfactorial,
 )

@@ -428,6 +428,18 @@ class TestPerturbAndSerialization:
         with pytest.raises(ValueError, match="missing key 'utilities'"):
             TwoActionGame.from_dict({"m": 1, "mode": FLOAT})
 
+    def test_product_game_needs_exact_mode(self):
+        # a float tensor is never checked against the product block, so a
+        # product game is read from exact-mode data only
+        data = maximal_game(2).to_dict()
+        data["mode"] = FLOAT
+        data["utilities"] = [[0.0] * 4] * 2
+        with pytest.raises(ValueError, match="key 'mode'"):
+            ProductTwoActionGame.from_dict(data)
+        del data["mode"]
+        with pytest.raises(ValueError, match="missing key 'mode'"):
+            ProductTwoActionGame.from_dict(data)
+
     def test_wrong_table_size_rejected(self, tmp_path):
         game = maximal_game(2)
         path = tmp_path / "game.json"

@@ -100,6 +100,21 @@ class TestWalk:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
+    def test_cache_is_bounded(self):
+        # one census reads walk(m, s) and walk(s, 0); a sweep over m keeps
+        # no more than maxsize of them, and a repeated census hits
+        maxsize = kernel.walk.cache_info().maxsize
+        assert maxsize is not None and 2 <= maxsize <= 8
+        for m in range(2, 10):
+            kernel.census_increment(*_maximal_args(m))
+        info = kernel.walk.cache_info()
+        assert info.currsize <= maxsize
+        kernel.census_increment(*_maximal_args(9))
+        assert kernel.walk.cache_info().misses == info.misses
+        for table in (*kernel.walk(9, 6), kernel.suffix_orders(6)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_split_reduce_matches_every_permutation(self, m):
         rng = np.random.default_rng(m)

@@ -65,3 +65,30 @@ def test_call_shapes_the_benchmark_binds(monkeypatch):
     candidate_engine.census(maximal_game(3), "increment")
     candidate_engine.census(maximal_game(3), "increment", use_kernel=False)
     assert calls == [(3, {})]
+
+
+def test_classifier_leaves_run_once_per_block(monkeypatch):
+    # tracing.LEAVES wraps the two routes as module attributes, and counts
+    # on census reaching them through the module once per candidate block
+    calls = {}
+    for name in ("classify_by_increment", "classify_by_sign"):
+        real = getattr(candidate_engine, name)
+
+        def counted(masks, block, real=real, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(masks, block)
+
+        monkeypatch.setattr(candidate_engine, name, counted)
+    m = 7
+    candidate_engine.census(maximal_game(m), "both")
+    blocks = sum(1 for _ in candidate_engine.candidate_blocks(m))
+    assert blocks > 1
+    assert calls == {"classify_by_increment": blocks, "classify_by_sign": blocks}
+
+
+def test_equilibria_items_give_float_coordinates():
+    # solve-m5's answer key is [cand.gamma_floats() for cand in equilibria(game, "both")]
+    game = maximal_game(3)
+    points = [cand.gamma_floats() for cand in candidate_engine.equilibria(game, "both")]
+    assert len(points) == 9
+    assert all(len(p) == 3 and all(type(x) is float for x in p) for p in points)
