@@ -8,8 +8,9 @@ evaluated in NumPy on m-bit player masks (bit i is player i) for every
 candidate of a block: the permutations that share a prefix of ``kernel.walk``.
 The blocks depend on m alone (``candidate_blocks``): a permutation's
 fixed-point mask F comes from the same split as the route masks below, and
-the masks B of its boundary assignments from one table per m, so the only
-permutation ever built is the one a reported candidate names.
+the masks B of its boundary assignments from one table per m, so a
+``Permutation`` is built only for reported candidates, once per reported
+permutation (``CandidateBlock.candidates``).
 
 * increment: integer arithmetic mod 2 over the characteristic tuple only,
   through the table sigma_j(x); the threshold values never enter;
@@ -27,9 +28,9 @@ at every fixed point, so it does not share the census kernel's
 all-or-nothing shortcut and checks the kernel independently.
 
 Agreement of the two routes on every candidate is the engine's standing
-regression check.  The per-candidate versions of both routes, and the
-scalar enumeration of the candidates, live in the tests, as the reference
-the blocks are compared against.
+regression check.  The per-candidate versions of both routes, the scalar
+enumeration of the candidates and ``candidate_for``, which builds one by
+hand, live in the tests, as the reference the blocks are compared against.
 """
 
 from __future__ import annotations
@@ -84,26 +85,6 @@ class EquilibriumCandidate:
         return tuple(float(g) for g in self.gamma)
 
 
-def candidate_for(
-    game: ProductTwoActionGame, pi: Permutation, boundary_values: dict[int, int]
-) -> EquilibriumCandidate:
-    """Build the candidate for a permutation and a boundary assignment."""
-    fixed = pi.fixed_points()
-    if set(boundary_values) != set(fixed):
-        raise ValueError("boundary assignment must cover exactly the fixed points")
-    gamma = []
-    for j in range(1, game.m + 1):
-        if j in boundary_values:
-            gamma.append(Fraction(boundary_values[j]))
-        else:
-            gamma.append(game.coeffs[(pi(j), j)])
-    return EquilibriumCandidate(
-        pi=pi,
-        boundary=tuple((i, boundary_values[i]) for i in fixed),
-        gamma=tuple(gamma),
-    )
-
-
 @functools.lru_cache(maxsize=2)  # a census reads one m; 3^m entries each
 def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The boundary masks of every fixed-point mask, in enumeration order.
@@ -145,18 +126,33 @@ class CandidateBlock:
     def face_class(self) -> np.ndarray:
         return np.bitwise_count(self.F)
 
-    def permutation(self, m: int, c: int) -> Permutation:
-        """The block's c-th permutation, of the players 1..m."""
+    def candidates(self, game: ProductTwoActionGame, ns) -> list[EquilibriumCandidate]:
+        """The block's candidates ``ns``, in that order, for the players 1..m.
+
+        One ``Permutation`` is built per distinct ``owner[n]``.  gamma_j is
+        the threshold a[pi(j), j] when j moves and the boundary value of j
+        when it is fixed.
+        """
+        m = game.m
         s = kernel.suffix_len(m)
         prefixes, _, sets = kernel.walk(m, s)
-        suffix = sets[self.rest][kernel.suffix_orders(s)[:, c]]
-        return Permutation((np.concatenate([prefixes[:, self.prefix], suffix]) + 1).tolist())
-
-    def candidate(self, game: ProductTwoActionGame, n: int) -> EquilibriumCandidate:
-        pi = self.permutation(game.m, self.owner[n])
-        fixed, boundary = int(self.F[n]), int(self.B[n])
-        values = {i + 1: boundary >> i & 1 for i in range(game.m) if fixed >> i & 1}
-        return candidate_for(game, pi, values)
+        head = prefixes[:, self.prefix].tolist()
+        values, orders = sets[self.rest], kernel.suffix_orders(s)
+        thresholds, bounds = game.coeffs.values, (Fraction(0), Fraction(1))
+        perms: dict[int, Permutation] = {}
+        found = []
+        for n in ns:
+            c = int(self.owner[n])
+            if c not in perms:
+                perms[c] = Permutation([x + 1 for x in head + values[orders[:, c]].tolist()])
+            pi, fixed, ones = perms[c], int(self.F[n]), int(self.B[n])
+            boundary = tuple((j + 1, ones >> j & 1) for j in range(m) if fixed >> j & 1)
+            gamma = tuple(
+                bounds[ones >> j & 1] if fixed >> j & 1 else thresholds[(x, j + 1)]
+                for j, x in enumerate(pi.images)
+            )
+            found.append(EquilibriumCandidate(pi, boundary, gamma))
+        return found
 
 
 def candidate_blocks(m: int) -> Iterator[CandidateBlock]:
@@ -294,9 +290,8 @@ def classified_blocks(
             mismatch = np.flatnonzero(by_inc != by_sign)
             if mismatch.size:
                 n = mismatch[0]
-                raise MethodDisagreement(
-                    block.candidate(game, n), bool(by_inc[n]), bool(by_sign[n])
-                )
+                (cand,) = block.candidates(game, [n])
+                raise MethodDisagreement(cand, bool(by_inc[n]), bool(by_sign[n]))
         yield block, by_inc
 
 
@@ -387,7 +382,7 @@ def equilibria(
 ) -> list[EquilibriumCandidate]:
     """All candidates classified as equilibria, in enumeration order."""
     return [
-        block.candidate(game, n)
+        cand
         for block, ok in classified_blocks(game, method)
-        for n in np.flatnonzero(ok)
+        for cand in block.candidates(game, np.flatnonzero(ok))
     ]

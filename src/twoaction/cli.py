@@ -152,9 +152,9 @@ def cmd_candidates(args) -> int:
     entries = []
     lines = []
     cands = (
-        block.candidate(game, n)
+        cand
         for block in candidate_blocks(game.m)
-        for n in range(len(block.owner))
+        for cand in block.candidates(game, range(len(block.owner)))
     )
     for cand in cands:
         entries.append(

@@ -52,18 +52,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, img in enumerate(self.images, start=1) if img == i)
 
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for i, img in enumerate(self.images, start=1):
-            images[img - 1] = i
-        return Permutation(images)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return ``self after other``: (self.compose(other))(i) == self(other(i))."""
-        if len(other) != len(self):
-            raise ValueError("size mismatch")
-        return Permutation(self(other(i)) for i in range(1, len(self) + 1))
-
 
 def subfactorial(n: int) -> int:
     """Number of derangements of an n-element set, via !n = n*!(n-1) + (-1)^n."""
@@ -105,28 +93,17 @@ def enumerate_derangements(m: int) -> Iterator[Permutation]:
             yield Permutation(images)
 
 
-def _send_to_end(m: int, i: int) -> Permutation:
-    # fixes 1..i-1, sends i to m, shifts i+1..m down by one
-    images = list(range(1, i)) + [m] + list(range(i, m))
-    return Permutation(images)
-
-
-def _block_rotation(m: int, i: int) -> Permutation:
-    # fixes m, rotates 1..m-1 so that 1..i-1 land on m-i+1..m-1
-    images = [m - i + j for j in range(1, i)] + [j - i + 1 for j in range(i, m)] + [m]
-    return Permutation(images)
-
-
 def block_swap_permutation(m: int, i: int) -> Permutation:
     """The permutation fixing i that swaps the blocks below and above i.
 
     It is order-preserving on {1..i-1} and on {i+1..m} separately and maps the
-    upper block below the lower block: for j1 < j2 both different from i, the
-    images are out of order exactly when j1 < i < j2.  These permutations make
-    up the characteristic tuple of the maximal product game.
+    upper block below the lower block: players i+1..m take the m - i lowest
+    values other than i, in order, and players 1..i-1 the rest, in order.  So
+    for j1 < j2 both different from i, the images are out of order exactly
+    when j1 < i < j2.  These permutations make up the characteristic tuple of
+    the maximal product game.
     """
     if not 1 <= i <= m:
         raise ValueError(f"i must be in 1..{m}")
-    a = _send_to_end(m, i)
-    b = _block_rotation(m, i)
-    return a.inverse().compose(b).compose(a)
+    others = [v for v in range(1, m + 1) if v != i]
+    return Permutation(others[m - i :] + [i] + others[: m - i])

@@ -77,9 +77,15 @@ class TwoActionGame:
             table = []
             for k, text in enumerate(texts):
                 try:
-                    table.append(cast(text))
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    # bool is an int subtype: a JSON true would read as 1
+                    if type(text) is bool:
+                        raise TypeError("must be a number or a string, not a boolean")
+                    value = cast(text)
+                    if mode == FLOAT and not math.isfinite(value):
+                        raise ValueError(f"{value} is not a finite number")
+                except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise ValueError(f"key 'utilities[{i}][{k}]': {exc}") from None
+                table.append(value)
             tables.append(table)
         return cls(m, tables, mode=mode)
 
@@ -202,13 +208,19 @@ class CoefficientMatrix:
 
     @classmethod
     def from_dict(cls, m: int, data: Mapping[str, str]) -> "CoefficientMatrix":
+        """The matrix of a product block: one key "i,j" per off-diagonal pair."""
         values = {}
         for key, text in data.items():
             try:
                 i, j = (int(part) for part in key.split(","))
-                values[(i, j)] = Fraction(text)
+                a = Fraction(text)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"coefficient key {key!r}: {exc}") from None
+            if not (1 <= i <= m and 1 <= j <= m and i != j) or (i, j) in values:
+                raise ValueError(
+                    f"coefficient key {key!r}: not an off-diagonal pair of 1..{m}, or repeated"
+                )
+            values[(i, j)] = a
         return cls(m, values)
 
 
@@ -338,11 +350,12 @@ class ProductTwoActionGame:
             return game
         try:
             agrees = [len(t) for t in stored] == [len(t) for t in texts] and all(
-                text == canonical or Fraction(text) == Fraction(canonical)
+                text == canonical
+                or type(text) is not bool and Fraction(text) == Fraction(canonical)
                 for row, canonical_row in zip(stored, texts)
                 for text, canonical in zip(row, canonical_row)
             )
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"key 'utilities': {exc}") from None
         if not agrees:
             raise ValueError("stored tensor disagrees with the product block")

@@ -21,7 +21,8 @@ tests read.
 ``enumerate_permutations`` and ``enumerate_candidates`` walk the candidates
 one at a time with ``itertools``, permutations in lexicographic order and a
 permutation's boundary assignments with its first fixed point most
-significant; the library lists them by blocks of ``kernel.walk``.
+significant, each built by ``candidate_for`` from a permutation and a
+boundary assignment; the library lists them by blocks of ``kernel.walk``.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement, candidate_for
+from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement
 from twoaction.combinatorics import (
     Permutation,
     block_swap_permutation,
@@ -58,6 +59,26 @@ def enumerate_permutations(m: int) -> Iterator[Permutation]:
         raise ValueError("m must be non-negative")
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
+
+
+def candidate_for(
+    game: ProductTwoActionGame, pi: Permutation, boundary_values: dict[int, int]
+) -> EquilibriumCandidate:
+    """Build the candidate for a permutation and a boundary assignment."""
+    fixed = pi.fixed_points()
+    if set(boundary_values) != set(fixed):
+        raise ValueError("boundary assignment must cover exactly the fixed points")
+    gamma = []
+    for j in range(1, game.m + 1):
+        if j in boundary_values:
+            gamma.append(Fraction(boundary_values[j]))
+        else:
+            gamma.append(game.coeffs[(pi(j), j)])
+    return EquilibriumCandidate(
+        pi=pi,
+        boundary=tuple((i, boundary_values[i]) for i in fixed),
+        gamma=tuple(gamma),
+    )
 
 
 def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCandidate]:

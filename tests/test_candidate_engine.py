@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _oracles import (
     boundary_value,
+    candidate_for,
     classify,
     classify_by_increment,
     classify_by_sign,
@@ -20,7 +22,6 @@ from twoaction import candidate_engine, kernel
 from twoaction.candidate_engine import (
     MethodDisagreement,
     candidate_blocks,
-    candidate_for,
     census,
     classified_blocks,
     equilibria,
@@ -197,13 +198,14 @@ def _block_masks(game):
     keys, by_inc, by_sign = [], [], []
     blocks = zip(classified_blocks(game, "increment"), classified_blocks(game, "sign"))
     for (block, inc), (_, sign) in blocks:
-        for n in range(len(block.owner)):
+        cands = block.candidates(game, range(len(block.owner)))
+        for n, cand in enumerate(cands):
             fixed, ones = int(block.F[n]), int(block.B[n])
             assert ones & ~fixed == 0
             boundary = tuple(
                 (i + 1, ones >> i & 1) for i in range(game.m) if fixed >> i & 1
             )
-            keys.append((block.candidate(game, n).pi.images, boundary))
+            keys.append((cand.pi.images, boundary))
         by_inc += inc.tolist()
         by_sign += sign.tolist()
     return keys, by_inc, by_sign
@@ -283,12 +285,35 @@ class TestBlockClassifier:
             sizes = [int(b.owner[-1]) + 1 for b in blocks]
             assert all(size <= 5040 for size in sizes)
             assert [b.prefix for b in blocks] == list(range(len(blocks)))
+            game = maximal_game(m)
+            # owner is sorted, so each permutation's first candidate is found by bisection
             perms = [
-                tuple(x - 1 for x in b.permutation(m, c).images)
+                tuple(x - 1 for x in cand.pi.images)
                 for b, size in zip(blocks, sizes)
-                for c in range(size)
+                for cand in b.candidates(game, np.searchsorted(b.owner, np.arange(size)))
             ]
             assert perms == list(itertools.permutations(range(m)))
+
+    def test_one_permutation_built_per_reported_permutation(self, monkeypatch):
+        # listing all V(5) = 326 candidates of maximal_game(5) builds each of
+        # its 5! = 120 permutations once, not once per candidate
+        game = maximal_game(5)
+        built = []
+        init = Permutation.__init__
+
+        def counting_init(self, images):
+            built.append(1)
+            init(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        cands = [
+            cand
+            for block in candidate_blocks(5)
+            for cand in block.candidates(game, range(len(block.owner)))
+        ]
+        assert len(cands) == candidate_count(5) == 326
+        assert len(built) == 120
+        assert len({cand.pi for cand in cands}) == 120
 
     @pytest.mark.parametrize("method", ["increment", "sign", "both"])
     def test_equilibria_match_oracle_filter(self, method, random_product_game):

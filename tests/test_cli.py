@@ -16,13 +16,33 @@ from twoaction.combinatorics import Permutation
 from twoaction.game_model import maximal_game, save_game
 
 
-# Game files whose JSON values have the wrong type.
+def _maximal_m3_file(utility=None, coefficients=None) -> str:
+    """The text of maximal_game(3)'s file, with utilities[0][0] spelled as the
+    JSON text ``utility`` and ``coefficients`` added to the product block."""
+    data = maximal_game(3).to_dict()
+    data["product"]["a"].update(coefficients or {})
+    if utility is None:
+        return json.dumps(data)
+    data["utilities"][0][0] = "@"
+    return json.dumps(data).replace('"@"', utility)
+
+
+# Game files with a value of the wrong type, a utility that is not a finite
+# number, or a coefficient key that is not an off-diagonal pair.  A str value
+# is the file's text, so that a number JSON cannot hold (1e400) can be written.
 BAD_GAME_FILES = {
     "utilities-number.json": {"m": 2, "mode": "float", "utilities": 5},
     "list.json": [1, 2],
     "number.json": 5,
     "string-m.json": {"m": "2", "mode": "float", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
     "null-utility.json": {"m": 2, "mode": "float", "utilities": [[None, 0, 0, 0], [0] * 4]},
+    "nan-utility.json": {"m": 2, "mode": "float", "utilities": [[0, 1, 2, "nan"], [0, 1, 2, 3]]},
+    "huge-utility.json": '{"m": 2, "mode": "float", "utilities": [[0, 1, 2, 1e400], [0, 1, 2, 3]]}',
+    "bool-utility.json": {"m": 2, "mode": "float", "utilities": [[0, 1, 2, True], [0, 1, 2, 3]]},
+    "huge-exact-utility.json": '{"m": 1, "mode": "exact", "utilities": [[0, 1e400]]}',
+    "huge-product-utility.json": _maximal_m3_file(utility="1e400"),
+    "bool-product-utility.json": _maximal_m3_file(utility="false"),
+    "stray-coefficient.json": _maximal_m3_file(coefficients={"1,9": "1/2", "2,2": "1/3"}),
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -354,6 +374,13 @@ class TestInputValidation:
                 ["construct", "--m", "3", "--sigma", "(2 2);id;id", "--out", "g.json"],
                 "cycle entry outside 1..3 or repeated in '(2 2)'",
             ),
+            (["solve", "nan-utility.json"], "key 'utilities[0][3]': nan is not a finite number"),
+            (["solve", "huge-utility.json"], "key 'utilities[0][3]': inf is not a finite number"),
+            (["solve", "bool-utility.json"], "key 'utilities[0][3]': must be a number or a string"),
+            (["solve", "huge-exact-utility.json"], "key 'utilities[0][1]': cannot convert"),
+            (["classify", "huge-product-utility.json"], "key 'utilities': cannot convert"),
+            (["classify", "bool-product-utility.json"], "stored tensor disagrees"),
+            (["classify", "stray-coefficient.json"], "coefficient key '1,9': not an off-diagonal"),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(
@@ -362,7 +389,7 @@ class TestInputValidation:
         # relative paths resolve in an empty directory holding the bad game files
         monkeypatch.chdir(tmp_path)
         for name, data in BAD_GAME_FILES.items():
-            (tmp_path / name).write_text(json.dumps(data))
+            (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
         # argparse exits through SystemExit, the subcommands return the code
         try:
             code = main(argv)

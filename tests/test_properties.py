@@ -7,34 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import is_identity, lam_at_profile, payoff, profile_bits, profile_index
-from twoaction.combinatorics import (
-    Permutation,
-    block_swap_permutation,
-    candidate_count,
-    subfactorial,
-)
+from _oracles import lam_at_profile, payoff, profile_bits, profile_index
+from twoaction.combinatorics import block_swap_permutation, candidate_count, subfactorial
 from twoaction.game_model import TwoActionGame
-
-permutations = st.integers(1, 7).flatmap(
-    lambda m: st.permutations(list(range(1, m + 1)))
-)
-
-
-@given(permutations)
-def test_inverse_composition_is_identity(images):
-    p = Permutation(images)
-    assert is_identity(p.compose(p.inverse()))
-    assert p.inverse().inverse() == p
-
-
-@given(permutations, permutations)
-def test_composition_inverse_reverses(a_images, b_images):
-    if len(a_images) != len(b_images):
-        return
-    a, b = Permutation(a_images), Permutation(b_images)
-    assert a.compose(b).inverse() == b.inverse().compose(a.inverse())
-
 
 @given(st.integers(2, 60))
 def test_subfactorial_is_nearest_integer_to_factorial_over_e(n):
