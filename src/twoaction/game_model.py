@@ -125,6 +125,19 @@ def _json_field(data: Mapping, key: str, kind: type, name: str | None = None):
     return value
 
 
+def _json_integers(values, name: str) -> list:
+    """``values``, checked to be a list of JSON integers: a boolean or 1.0 is not one.
+
+    A value of another type is a ValueError naming the key ``name``.
+    """
+    if type(values) is not list:
+        raise ValueError(f"key {name!r}: must hold lists of integers, not {_json_type(values)}")
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"key {name!r}: must hold integers, not {_json_type(value)}")
+    return values
+
+
 @dataclass(frozen=True)
 class CharacteristicTuple:
     """Sign vector and per-coordinate threshold orderings of a product game."""
@@ -332,8 +345,11 @@ class ProductTwoActionGame:
         if mode != EXACT:
             raise ValueError(f"key 'mode' of a product game must be {EXACT!r}, not {mode!r}")
         product = _json_field(data, "product", dict)
-        v = _json_field(product, "v", list, "product.v")
-        sigma = _json_field(product, "sigma", list, "product.sigma")
+        v = _json_integers(_json_field(product, "v", list, "product.v"), "product.v")
+        sigma = [
+            _json_integers(images, "product.sigma")
+            for images in _json_field(product, "sigma", list, "product.sigma")
+        ]
         try:
             sigma = tuple(Permutation(images) for images in sigma)
         except (TypeError, ValueError) as exc:

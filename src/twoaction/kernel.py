@@ -1,8 +1,8 @@
-"""Census kernel and the permutation walk that every census shares, in NumPy.
+"""Census kernel and the permutation walk of the streaming census, in NumPy.
 
 The kernel counts the equilibrium candidates and the equilibria of a
 product game from its characteristic tuple alone, by the increment
-criterion.  Two facts keep the walk over all m! permutations short.
+criterion.  Two facts keep its pass over all m! permutations short.
 
 * All or nothing.  At a fixed point t of pi the increment is
   ``base_t + zeros + 1`` mod 2, whatever the boundary value of t, where
@@ -21,12 +21,23 @@ a permutation's codes is then X in the low m bits and F above them, since the
 fixed-point bits of different positions never overlap.  X and F take 2m bits,
 so with a sign bit int32 holds them up to m = 15 and int64 above.
 
-The walk.  Every census visits the m! permutations in lexicographic order,
-as each prefix of m - s images then the s! orderings of the values it leaves
-(``walk``), and reads a permutation's XOR or OR of table cells from a head
-per prefix and a tail per (value set, ordering) (``split_reduce``).  The
-kernel tallies chunks of consecutive prefixes, at most CHUNK_ROWS pairs and at
-least one prefix a chunk; ``candidate_engine`` classifies one prefix a block.
+The walk.  The streaming blocks of ``candidate_engine`` visit the m!
+permutations in lexicographic order, as each prefix of m - s images then the
+s! orderings of the values it leaves (``walk``), and read a permutation's XOR
+or OR of table cells from a head per prefix and a tail per (value set,
+ordering) (``split_reduce``), one prefix a block.
+
+The halves.  The kernel only counts, so it needs no order.  It splits the
+positions into a head, the first p = m - s, and a tail, the last
+s = ceil(m/2), and pairs, for each s-set R of values, every ordering of the
+other values on the head with every ordering of R on the tail
+(``halves``).  A pair's code is the XOR of its head's and its tail's, and
+its k fixed points are the h of its head and the t of its tail, so the
+kernel tallies passing pairs per (h, t): a float32 matmul of the pass mask
+against a one-hot of the tail orderings' t, folded by the head orderings' h
+into int64.  Both halves' codes come from ``reduce_orderings``, as does the
+tail of ``split_reduce``.  A chunk holds whole value sets, or one set's head
+orderings in slices, at most CHUNK_ROWS pairs and at least one head ordering.
 """
 
 from __future__ import annotations
@@ -39,8 +50,8 @@ import numpy as np
 
 KERNEL = "numpy"
 
-SUFFIX_LEN = 6  # s = min(m, SUFFIX_LEN): 720 orderings per prefix
-CHUNK_ROWS = 1 << 15  # (prefix, ordering) pairs per vector operation
+SUFFIX_LEN = 6  # streaming blocks: s = min(m, SUFFIX_LEN), 720 orderings per prefix
+CHUNK_ROWS = 1 << 15  # kernel: (head ordering, tail ordering) pairs per vector operation
 
 
 def suffix_orders(s: int) -> np.ndarray:
@@ -52,7 +63,7 @@ def suffix_len(m: int) -> int:
     return min(m, SUFFIX_LEN)
 
 
-@functools.lru_cache(maxsize=4)  # a census reads walk(m, s) and walk(s, 0); 4 serve two m
+@functools.lru_cache(maxsize=4)  # streaming: walk(m, s), walk(s, 0); kernel: walk(p, 0), walk(s, 0)
 def walk(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prefixes of the first m - s images, in lexicographic order, and what each leaves.
 
@@ -77,6 +88,20 @@ def walk(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+def reduce_orderings(rows: np.ndarray, sets: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op`` over the cells of every ordering of every value set, one row a position.
+
+    ``rows[q]`` is the table row of the q-th of n positions and ``sets[r]``
+    holds n values; ``out[r, c]`` reduces ``rows[q, sets[r, orders[q, c]]]``
+    over q, with ``orders = suffix_orders(n)``.
+    """
+    orders = suffix_orders(sets.shape[1])
+    out = np.zeros((len(sets), orders.shape[1]), dtype=rows.dtype)
+    for row, order in zip(rows, orders):
+        op(out, np.take(row[sets], order, axis=1), out=out)
+    return out
+
+
 def split_reduce(table: np.ndarray, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
     """``op`` (a bitwise ufunc, identity 0) over every permutation's cells, in two parts.
 
@@ -91,11 +116,32 @@ def split_reduce(table: np.ndarray, op: np.ufunc) -> tuple[np.ndarray, np.ndarra
     head = np.zeros(prefixes.shape[1], dtype=table.dtype)
     for row, images in zip(table, prefixes):
         op(head, row[images], out=head)
-    orders = suffix_orders(s)
-    tail = np.zeros((len(sets), orders.shape[1]), dtype=table.dtype)
-    for row, order in zip(table[m - s :], orders):
-        op(tail, np.take(row[sets], order, axis=1), out=tail)
-    return head, tail
+    return head, reduce_orderings(table[m - s :], sets, op)
+
+
+@functools.lru_cache(maxsize=2)  # a census reads one m; 1.3 MB at m = 12
+def halves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The value sets of the kernel's head, p = m - s positions, and tail, s = ceil(m/2).
+
+    ``tail_sets[r]`` is the r-th s-set of values and ``head_sets[r]`` the
+    other p values, both increasing.  ``head_fixed[r, i]`` is the number of
+    fixed points of the i-th ordering of ``head_sets[r]`` on the head, and
+    ``tail_fixed[r, c]`` that of the c-th ordering of ``tail_sets[r]`` on the
+    tail, in the order of ``reduce_orderings``.
+    """
+    s = (m + 1) // 2
+    chosen = list(itertools.combinations(range(m), s))
+    tail_sets = np.array(chosen, dtype=np.int8).reshape(len(chosen), s)
+    head_sets = np.array(
+        [[a for a in range(m) if a not in values] for values in chosen], dtype=np.int8
+    ).reshape(len(chosen), m - s)
+    eye = np.eye(m, dtype=np.int8)
+    head_fixed = reduce_orderings(eye[: m - s], head_sets, np.add)
+    tail_fixed = reduce_orderings(eye[m - s :], tail_sets, np.add)
+    tables = head_sets, tail_sets, head_fixed, tail_fixed
+    for table in tables:  # cached: every census of this m shares them
+        table.flags.writeable = False
+    return tables
 
 
 def order_masks(sigma) -> np.ndarray:
@@ -121,27 +167,41 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     codes = order_masks(np.reshape(sigma, (m, m)))
     codes[np.arange(m), np.arange(m)] = np.int64(1) << np.arange(m, 2 * m)
     codes[0] ^= sum(1 << i for i in range(m) if not v[i])
-    head, tail = split_reduce(codes.astype(dtype), np.bitwise_xor)
-    _, rest, _ = walk(m, suffix_len(m))
+    codes = codes.astype(dtype)
+    head_sets, tail_sets, head_fixed, tail_fixed = halves(m)
+    p, s = head_sets.shape[1], tail_sets.shape[1]
+    head = reduce_orderings(codes[:p], head_sets, np.bitwise_xor)
+    tail = reduce_orderings(codes[p:], tail_sets, np.bitwise_xor)
 
-    rows = max(1, CHUNK_ROWS // tail.shape[1])
-    # tally[2F + ok]: permutations with fixed-point mask F that fail (ok = 0) or pass
-    tally = np.zeros(2 << m, dtype=np.int64)
-    for lo in range(0, len(head), rows):
-        pair = tail[rest[lo : lo + rows]]
-        pair ^= head[lo : lo + rows, None]
-        fixed = pair >> m
-        hit = np.bitwise_and(pair, fixed, out=pair)
-        ok = hit == 0
-        ok |= hit == fixed
-        fixed <<= 1
-        fixed |= ok
-        tally += np.bincount(fixed.ravel(), minlength=2 << m)
+    heads, tails = head.shape[1], tail.shape[1]
+    if heads * tails <= CHUNK_ROWS:  # whole value sets a chunk
+        sets_per, rows = CHUNK_ROWS // (heads * tails), heads
+    else:  # one value set a chunk, its head orderings in slices
+        sets_per, rows = 1, max(1, CHUNK_ROWS // tails)
+    h_eye, t_eye = np.eye(p + 1), np.eye(s + 1, dtype=np.float32)
+    # tally[0, h, t]: pairs visited whose head has h fixed points and tail t; tally[1]: passing
+    tally = np.zeros((2, p + 1, s + 1), dtype=np.int64)
+    for r in range(0, len(head), sets_per):
+        by_t = t_eye.take(tail_fixed[r : r + sets_per], axis=0)  # one-hot, (sets, tails, s + 1)
+        t_count = np.ones(tails, dtype=np.float32) @ by_t
+        for i in range(0, heads, rows):
+            pair = head[r : r + sets_per, i : i + rows, None] ^ tail[r : r + sets_per, None, :]
+            fixed = pair >> m
+            hit = np.bitwise_and(pair, fixed, out=pair)
+            ok = hit == 0
+            ok |= hit == fixed
+            passed = ok.astype(np.float32) @ by_t  # per (head ordering, t), each at most s!
+            by_h = h_eye.take(head_fixed[r : r + sets_per, i : i + rows], axis=0)
+            h_count = np.ones(by_h.shape[1]) @ by_h
+            # one chunk's sums, in float64: exact, as a chunk has far fewer than 2^53 pairs
+            tally[0] += (h_count.T @ t_count).astype(np.int64)
+            tally[1] += (by_h.reshape(-1, p + 1).T @ passed.reshape(-1, s + 1)).astype(np.int64)
 
-    # fold the masks F into their fixed-point counts k
-    by_k = np.zeros((m + 1, 2), dtype=np.int64)
-    np.add.at(by_k, np.bitwise_count(np.arange(1 << m)), tally.reshape(-1, 2))
-    perms, passing = by_k.sum(axis=1), by_k[:, 1]
+    # fold (h, t) into the pair's fixed-point count k = h + t
+    by_k = np.zeros((2, m + 1), dtype=np.int64)
+    for h in range(p + 1):
+        by_k[:, h : h + s + 1] += tally[:, h]
+    perms, passing = by_k
     cand = [int(n) << k for k, n in enumerate(perms)]
     eq = [int(perms[0])] + [int(n) << (k - 1) for k, n in enumerate(passing) if k]
     return cand, eq

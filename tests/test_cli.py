@@ -16,11 +16,13 @@ from twoaction.combinatorics import Permutation
 from twoaction.game_model import maximal_game, save_game
 
 
-def _maximal_m3_file(utility=None, coefficients=None) -> str:
+def _maximal_m3_file(utility=None, coefficients=None, **product) -> str:
     """The text of maximal_game(3)'s file, with utilities[0][0] spelled as the
-    JSON text ``utility`` and ``coefficients`` added to the product block."""
+    JSON text ``utility``, ``coefficients`` added to the product block and
+    its other keys replaced by ``product``."""
     data = maximal_game(3).to_dict()
     data["product"]["a"].update(coefficients or {})
+    data["product"].update(product)
     if utility is None:
         return json.dumps(data)
     data["utilities"][0][0] = "@"
@@ -43,6 +45,10 @@ BAD_GAME_FILES = {
     "huge-product-utility.json": _maximal_m3_file(utility="1e400"),
     "bool-product-utility.json": _maximal_m3_file(utility="false"),
     "stray-coefficient.json": _maximal_m3_file(coefficients={"1,9": "1/2", "2,2": "1/3"}),
+    # the tensor is maximal_game(3)'s, so only the types are wrong
+    "bool-v.json": _maximal_m3_file(v=[False, False, False]),
+    "float-v.json": _maximal_m3_file(v=[0.0, 0, 0]),
+    "float-sigma.json": _maximal_m3_file(sigma=[[1.0, 2.0, 3.0], [3, 2, 1], [1, 2, 3]]),
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -381,6 +387,12 @@ class TestInputValidation:
             (["classify", "huge-product-utility.json"], "key 'utilities': cannot convert"),
             (["classify", "bool-product-utility.json"], "stored tensor disagrees"),
             (["classify", "stray-coefficient.json"], "coefficient key '1,9': not an off-diagonal"),
+            (["classify", "bool-v.json"], "key 'product.v': must hold integers, not a boolean"),
+            (["classify", "float-v.json"], "key 'product.v': must hold integers, not a number"),
+            (
+                ["classify", "float-sigma.json"],
+                "key 'product.sigma': must hold integers, not a number",
+            ),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

@@ -55,7 +55,7 @@ class TestKernelAgreement:
             assert kernel.census_increment(*args) == census_py(*args)
 
     def test_prefix_walk_m8(self, random_characteristic_tuple):
-        # m = 8 walks 56 prefixes of two images, each with its value set's 720 orderings
+        # m = 8 pairs 70 value sets' 24 head orderings with their 24 tail orderings
         rng = random.Random(29)
         for _ in range(2):
             args = _as_kernel_args(random_characteristic_tuple(8, rng))
@@ -101,15 +101,15 @@ class TestWalk:
                 table[0] = 1
 
     def test_cache_is_bounded(self):
-        # one census reads walk(m, s) and walk(s, 0); a sweep over m keeps
-        # no more than maxsize of them, and a repeated census hits
+        # a streaming census splits its tables over walk(m, s) and walk(s, 0);
+        # a sweep over m keeps no more than maxsize of them, and a repeat hits
         maxsize = kernel.walk.cache_info().maxsize
         assert maxsize is not None and 2 <= maxsize <= 8
         for m in range(2, 10):
-            kernel.census_increment(*_maximal_args(m))
+            kernel.split_reduce(np.eye(m, dtype=np.int64), np.bitwise_or)
         info = kernel.walk.cache_info()
         assert info.currsize <= maxsize
-        kernel.census_increment(*_maximal_args(9))
+        kernel.split_reduce(np.eye(9, dtype=np.int64), np.bitwise_or)
         assert kernel.walk.cache_info().misses == info.misses
         for table in (*kernel.walk(9, 6), kernel.suffix_orders(6)):
             with pytest.raises(ValueError, match="read-only"):
@@ -129,30 +129,76 @@ class TestWalk:
             assert got == expected
 
 
+class TestHalves:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_pairs_list_every_permutation_once(self, m):
+        head_sets, tail_sets, head_fixed, tail_fixed = kernel.halves(m)
+        p = head_sets.shape[1]
+        assert tail_sets.shape[1] == m - p == (m + 1) // 2
+        head_orders, tail_orders = kernel.suffix_orders(p), kernel.suffix_orders(m - p)
+        perms = []
+        for r in range(len(tail_sets)):
+            for i in range(head_orders.shape[1]):
+                for c in range(tail_orders.shape[1]):
+                    pi = [*head_sets[r][head_orders[:, i]], *tail_sets[r][tail_orders[:, c]]]
+                    fixed = sum(a == j for j, a in enumerate(pi))
+                    assert fixed == head_fixed[r, i] + tail_fixed[r, c]
+                    perms.append(tuple(pi))
+        assert sorted(perms) == list(itertools.permutations(range(m)))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_fixed_point_counts_follow_the_closed_form(self, m):
+        # C(m, k) !(m - k) permutations have k fixed points, so as many pairs have h + t = k
+        _, _, head_fixed, tail_fixed = kernel.halves(m)
+        per_k = [0] * (m + 1)
+        for head_row, tail_row in zip(head_fixed, tail_fixed):
+            for h, heads in enumerate(np.bincount(head_row).tolist()):
+                for t, tails in enumerate(np.bincount(tail_row).tolist()):
+                    per_k[h + t] += heads * tails
+        assert per_k == [math.comb(m, k) * subfactorial(m - k) for k in range(m + 1)]
+
+    def test_cache_is_bounded_read_only_and_small(self):
+        # the cache keeps int8 counts per m, never a float one-hot: at m = 12
+        # about 1.3 MB, and the kernel reads walk(6, 0) for the orderings
+        maxsize = kernel.halves.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 4
+        kernel.halves.cache_clear()
+        kernel.walk.cache_clear()
+        report = census(maximal_game(12), "increment")
+        assert report.total_equilibria == maximal_equilibrium_count(12)
+        assert kernel.halves.cache_info().currsize == 1
+        assert kernel.walk.cache_info().currsize == 1
+        cached = (*kernel.halves(12), *kernel.walk(6, 0))
+        assert sum(table.nbytes for table in cached) <= 4 << 20
+        for table in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+
 class TestChunkBoundaries:
-    # A chunk is CHUNK_ROWS // s! consecutive prefixes of the walk, and at
-    # least one.  At m = 7, s = 3 the walk has 840 prefixes of 4 images,
-    # in runs of 4 that share the first 3; at m = 8, s = 4, 1680 prefixes
-    # in runs of 5.
+    # The kernel pairs, for each of the C(m, s) tail value sets, the p! head
+    # orderings with the s! tail orderings, s = ceil(m/2) and p = m - s.  A
+    # chunk holds CHUNK_ROWS // (p! s!) whole value sets if one set fits, and
+    # otherwise max(1, CHUNK_ROWS // s!) of one set's head orderings.
+    # At m = 7 that is 35 sets of 6 x 24 pairs, at m = 8 70 sets of 24 x 24.
     @pytest.mark.parametrize(
         "m, splits",
         [
             (
                 7,
                 [
-                    (3, 66),  # 11 prefixes a chunk, splitting runs; the last chunk 4
-                    (3, 5),  # below s! = 6: one prefix a chunk, the s! floor
-                    (1, 1000),  # s = 1: 1000 prefixes of one ordering a chunk, the last 40
-                    (7, 100),  # s = m: the one empty prefix, 5040 orderings past the cap
+                    1000,  # 6 sets a chunk; the last chunk 5 sets
+                    100,  # 4 head orderings a chunk, then a short slice of 2
+                    10,  # below s! = 24: one head ordering a chunk
+                    1 << 15,  # the default: all 35 sets in one chunk
                 ],
             ),
             (
                 8,
                 [
-                    (4, 2000),  # 83 prefixes a chunk, splitting runs; the last chunk 20
-                    (4, 20),  # below s! = 24: the s! floor
-                    (1, 1 << 15),  # s = 1: two chunks, the last 7552 prefixes
-                    (8, 1000),  # s = m: one chunk of all 40320 orderings
+                    2000,  # 3 sets a chunk; the last chunk 1 set
+                    500,  # 20 head orderings a chunk, then a short slice of 4
+                    20,  # below s! = 24: one head ordering a chunk
                 ],
             ),
         ],
@@ -161,17 +207,18 @@ class TestChunkBoundaries:
         rng = random.Random(m)
         cases = [_maximal_args(m), _as_kernel_args(random_characteristic_tuple(m, rng))]
         expected = [census_py(*args) for args in cases]
-        for suffix_len, chunk_rows in splits:
-            monkeypatch.setattr(kernel, "SUFFIX_LEN", suffix_len)
+        for chunk_rows in splits:
             monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
             assert [kernel.census_increment(*args) for args in cases] == expected
 
-    def test_random_m9_matches_streaming_route(self, random_characteristic_tuple):
-        ctuple = random_characteristic_tuple(9, random.Random(31))
+    @pytest.mark.parametrize("m, seed", [(8, 37), (9, 31), (10, 41)])
+    def test_random_tuple_matches_streaming_route(self, m, seed, random_characteristic_tuple):
+        ctuple = random_characteristic_tuple(m, random.Random(seed))
         report = census(build_product_game(ctuple), "increment", use_kernel=False)
-        cand, eq = kernel.census_increment(*_as_kernel_args(ctuple))
-        assert cand == report.candidates_per_class
-        assert eq == report.equilibria_per_class
+        assert kernel.census_increment(*_as_kernel_args(ctuple)) == (
+            report.candidates_per_class,
+            report.equilibria_per_class,
+        )
 
 
 def test_census_rejects_wrong_candidate_counts(monkeypatch):
