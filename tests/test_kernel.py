@@ -165,6 +165,9 @@ class TestHalves:
         kernel.halves.cache_clear()
         kernel.walk.cache_clear()
         report = census(maximal_game(12), "increment")
+        assert report.equilibria_per_class == [subfactorial(12)] + [
+            math.comb(12, l) * 2 ** (l - 1) * subfactorial(12 - l) for l in range(1, 13)
+        ]
         assert report.total_equilibria == maximal_equilibrium_count(12)
         assert kernel.halves.cache_info().currsize == 1
         assert kernel.walk.cache_info().currsize == 1
