@@ -5,7 +5,8 @@ Every candidate is indexed by a permutation pi of the players together with a
 at the thresholds gamma_j = a[pi(j), j], fixed coordinates at the assigned
 boundary value.  Classification runs by two independent exact routes,
 evaluated in NumPy on m-bit player masks (bit i is player i) for every
-candidate of a block: the permutations that share a prefix of ``kernel.walk``.
+candidate of a block: the permutations that share their first m - s images,
+s = ``kernel.suffix_len(m)``, in the head/tail split of ``kernel.halves``.
 The blocks depend on m alone (``candidate_blocks``): a permutation's
 fixed-point mask F comes from the same split as the route masks below, and
 the masks B of its boundary assignments from one table per m, so a
@@ -18,11 +19,11 @@ permutation (``CandidateBlock.candidates``).
   signs of its factors, from a table built by comparing the integer
   numerators of the thresholds; the orderings sigma never enter.
 
-Each route turns its table into one mask per (position, image), split over
-the walk by ``kernel.split_reduce`` once per census, so a permutation's ``C =
-XOR_j CM[j, pi(j)]`` for increment, and ``X = XOR_j NEG[j, pi(j)]`` and ``Z =
-OR_j ZER[j, pi(j)]`` for sign, take one operation each.  Per candidate a
-route takes a few operations on its fixed-point mask F and the mask B of its
+Each route turns its table into one mask per (position, image), split into
+a head and a tail by ``kernel.split_reduce`` once per census, so a
+permutation's ``C = XOR_j CM[j, pi(j)]`` for increment, and ``X = XOR_j
+NEG[j, pi(j)]`` for sign, take one operation each.  Per candidate a route
+takes a few operations on its fixed-point mask F and the mask B of its
 boundary players at value 1.  The increment route evaluates the full parity
 at every fixed point, so it does not share the census kernel's
 all-or-nothing shortcut and checks the kernel independently.
@@ -107,17 +108,18 @@ def _boundary_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CandidateBlock:
-    """The candidates of one prefix's permutations, in enumeration order.
+    """The candidates of one head's permutations, in enumeration order.
 
-    Players and values are 0-based, and bit i of a mask is player i.  The
-    block's c-th permutation is the ``prefix``-th prefix of ``kernel.walk``
-    followed by the c-th ordering of its value set, the ``rest``-th.
-    Candidate n belongs to permutation ``owner[n]``, whose fixed points are
-    the mask ``F[n]``; ``B[n]`` holds the fixed points at boundary value 1.
+    Players and values are 0-based, and bit i of a mask is player i.  With
+    ``kernel.halves(m, kernel.suffix_len(m))``, the block's c-th permutation
+    is the i-th ordering of ``head_sets[r]`` on the head followed by the c-th
+    ordering of ``tail_sets[r]`` on the tail.  Candidate n belongs to
+    permutation ``owner[n]``, whose fixed points are the mask ``F[n]``;
+    ``B[n]`` holds the fixed points at boundary value 1.
     """
 
-    prefix: int
-    rest: int
+    r: int
+    i: int
     owner: np.ndarray
     F: np.ndarray
     B: np.ndarray
@@ -135,9 +137,9 @@ class CandidateBlock:
         """
         m = game.m
         s = kernel.suffix_len(m)
-        prefixes, _, sets = kernel.walk(m, s)
-        head = prefixes[:, self.prefix].tolist()
-        values, orders = sets[self.rest], kernel.suffix_orders(s)
+        head_sets, tail_sets, _, _ = kernel.halves(m, s)
+        head = head_sets[self.r][kernel.orderings(m - s)[:, self.i]].tolist()
+        values, orders = tail_sets[self.r], kernel.orderings(s)
         thresholds, bounds = game.coeffs.values, (Fraction(0), Fraction(1))
         perms: dict[int, Permutation] = {}
         found = []
@@ -156,22 +158,29 @@ class CandidateBlock:
 
 
 def candidate_blocks(m: int) -> Iterator[CandidateBlock]:
-    """The block of every prefix of ``kernel.walk``: all candidates, in enumeration order.
+    """The block of every head ordering: all candidates, in enumeration order.
 
     A permutation's fixed-point mask F is the OR of its cells of the table
-    with bit j at (j, j), split over the walk as every other mask is.
+    with bit j at (j, j), split by ``kernel.split_reduce`` as every other
+    mask is.  The blocks go in the lexicographic order of their heads' images.
     """
-    head, tail = kernel.split_reduce(np.diag(np.int64(1) << np.arange(m)), np.bitwise_or)
-    _, rest, _ = kernel.walk(m, kernel.suffix_len(m))
+    s = kernel.suffix_len(m)
+    head, tail = kernel.split_reduce(np.diag(np.int64(1) << np.arange(m)), s, np.bitwise_or)
+    head_sets = kernel.halves(m, s)[0]
+    key = np.zeros(head.shape, dtype=np.int64)  # head images as a base-m number
+    for order in kernel.orderings(m - s):
+        key *= m
+        key += head_sets.take(order, axis=1)
     flat, start = _boundary_layout(m)
-    for k, r in enumerate(rest.tolist()):
-        fixed = head[k] | tail[r]
+    for k in np.argsort(key, axis=None).tolist():
+        r, i = divmod(k, head.shape[1])
+        fixed = head[r, i] | tail[r]
         counts = np.int64(1) << np.bitwise_count(fixed)
         owner = np.repeat(np.arange(len(fixed)), counts)
         # candidate n is the (n - first[owner[n]])-th of its permutation
         first = np.cumsum(counts) - counts
         boundary = flat[(start[fixed] - first)[owner] + np.arange(len(owner))]
-        yield CandidateBlock(k, r, owner, fixed[owner], boundary)
+        yield CandidateBlock(r, i, owner, fixed[owner], boundary)
 
 
 def sign_table(game: ProductTwoActionGame) -> np.ndarray:
@@ -204,23 +213,20 @@ def _player_masks(flags: np.ndarray) -> np.ndarray:
     return np.moveaxis(flags, 1, -1) @ (np.int64(1) << np.arange(flags.shape[1]))
 
 
-def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``NEG[j, a]``, ``ZER[j, a]`` and ``DT[B]`` of the sign route.
+def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``NEG[j, a]`` and ``DT[B]`` of the sign route.
 
-    ``table`` is ``sign_table``.  ``NEG[j, a]`` and ``ZER[j, a]`` are the
-    players i whose factor of j is negative, or zero, when j moves to a; at
-    a = j, where j is a fixed point, they take the factor at boundary value
-    0.  ``DT[B]`` is the players whose sign flips when the fixed points in B
-    move from value 0 to 1.  Boundary factors are never zero, since every
-    threshold lies in (0, 1), so ZER needs no such correction.
+    ``table`` is ``sign_table``.  ``NEG[j, a]`` is the players i whose
+    factor of j is negative when j moves to a; at a = j, where j is a fixed
+    point, it takes the factor at boundary value 0.  ``DT[B]`` is the players
+    whose sign flips when the fixed points in B move from value 0 to 1.
     """
     m = len(table)
-    diagonal = np.arange(m), np.arange(m)
-    neg, zero = _player_masks(table < 0), _player_masks(table == 0)
-    neg[diagonal], zero[diagonal] = neg[:, m], zero[:, m]
+    neg = _player_masks(table < 0)
+    neg[np.arange(m), np.arange(m)] = neg[:, m]
     in_b = np.arange(1 << m)[:, None] >> np.arange(m) & 1
     dt = np.bitwise_xor.reduce(in_b * (neg[:, m] ^ neg[:, m + 1]), axis=1)
-    return neg[:, :m], zero[:, :m], dt
+    return neg[:, :m], dt
 
 
 def classify_by_increment(masks, block: CandidateBlock) -> np.ndarray:
@@ -234,7 +240,7 @@ def classify_by_increment(masks, block: CandidateBlock) -> np.ndarray:
     ``C = V XOR_j CM[j, pi(j)]`` is the parity of ``v_i + c_i``.
     """
     head, tail = masks
-    c = head[block.prefix] ^ tail[block.rest]
+    c = head[block.r, block.i] ^ tail[block.r]
     fixed, ones = block.F, block.B
     zeros = fixed & ~ones
     # zeros_excl_self mod 2 at fixed point i: the parity of all zeros, XOR i's own zero
@@ -246,20 +252,21 @@ def classify_by_increment(masks, block: CandidateBlock) -> np.ndarray:
 def classify_by_sign(masks, block: CandidateBlock) -> np.ndarray:
     """Per candidate, True iff it is an equilibrium by exact sign evaluation.
 
-    ``masks`` is ``sign_masks`` with NEG and ZER split by ``kernel.split_reduce``
-    by XOR and by OR.  Every boundary player's payoff difference must point
-    toward the chosen action: positive at value 1, negative at value 0.
-    Interior players are indifferent by construction.  Bit i of
+    ``masks`` is ``sign_masks`` with NEG split by ``kernel.split_reduce``
+    by XOR.  Every boundary player's payoff difference must point toward the
+    chosen action: positive at value 1, negative at value 0.  Interior
+    players are indifferent by construction.  Bit i of
     ``X = XOR_j NEG[j, pi(j)] XOR DT[B]`` says that player i's payoff
-    difference has an odd number of negative factors, and bit i of
-    ``Z = OR_j ZER[j, pi(j)]`` that it has a zero one.
+    difference has an odd number of negative factors.  No fixed point has a
+    zero factor: a column's thresholds are distinct, so j moved to a has a
+    zero factor only in the difference of player a, who moves, and a
+    boundary factor is never zero, as every threshold lies in (0, 1).
     """
-    (neg_head, neg_tail), (zero_head, zero_tail), dt = masks
-    x = neg_head[block.prefix] ^ neg_tail[block.rest]
-    z = zero_head[block.prefix] | zero_tail[block.rest]
+    (neg_head, neg_tail), dt = masks
+    x = neg_head[block.r, block.i] ^ neg_tail[block.r]
     fixed, ones = block.F, block.B
     negative = x[block.owner] ^ dt[ones]
-    return ((negative ^ ones) & fixed == fixed) & (z[block.owner] & fixed == 0)
+    return (negative ^ ones) & fixed == fixed
 
 
 def classified_blocks(
@@ -272,14 +279,14 @@ def classified_blocks(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    xor = np.bitwise_xor
+    s = kernel.suffix_len(game.m)
     if method != "sign":
-        cm = kernel.order_masks([s.images for s in game.ctuple.sigma])
+        cm = kernel.order_masks([sigma_j.images for sigma_j in game.ctuple.sigma])
         cm[0] ^= sum(int(b) << i for i, b in enumerate(game.ctuple.v))
-        inc_masks = kernel.split_reduce(cm, xor)
+        inc_masks = kernel.split_reduce(cm, s, np.bitwise_xor)
     if method != "increment":
-        neg, zero, dt = sign_masks(sign_table(game))
-        sgn_masks = kernel.split_reduce(neg, xor), kernel.split_reduce(zero, np.bitwise_or), dt
+        neg, dt = sign_masks(sign_table(game))
+        sgn_masks = kernel.split_reduce(neg, s, np.bitwise_xor), dt
     for block in candidate_blocks(game.m):
         if method == "sign":
             yield block, classify_by_sign(sgn_masks, block)

@@ -62,11 +62,14 @@ def parse_permutation(text: str, m: int) -> Permutation:
     if text.startswith("("):
         if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
             raise ValueError(f"malformed cycle notation {text!r}")
-        images = list(range(1, m + 1))
+        images, seen = list(range(1, m + 1)), set()
         for cycle in re.findall(r"\(([^)]*)\)", text):
             entries = [int(tok) for tok in cycle.replace(",", " ").split()]
             if any(not 1 <= e <= m for e in entries) or len(set(entries)) < len(entries):
                 raise ValueError(f"cycle entry outside 1..{m} or repeated in {text!r}")
+            if seen.intersection(entries):
+                raise ValueError(f"cycles must be disjoint in {text!r}")
+            seen.update(entries)
             for a, b in zip(entries, entries[1:] + entries[:1]):
                 images[a - 1] = b
         return Permutation(images)

@@ -341,6 +341,8 @@ class ProductTwoActionGame:
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProductTwoActionGame":
         m = _json_field(data, "m", int)
+        if m < 1:
+            raise ValueError(f"key 'm' must be positive, not {m}")
         mode = _json_field(data, "mode", str)
         if mode != EXACT:
             raise ValueError(f"key 'mode' of a product game must be {EXACT!r}, not {mode!r}")

@@ -1,4 +1,4 @@
-"""Census kernel and the permutation walk of the streaming census, in NumPy.
+"""Census kernel and the head/tail split of every census, in NumPy.
 
 The kernel counts the equilibrium candidates and the equilibria of a
 product game from its characteristic tuple alone, by the increment
@@ -21,23 +21,21 @@ a permutation's codes is then X in the low m bits and F above them, since the
 fixed-point bits of different positions never overlap.  X and F take 2m bits,
 so with a sign bit int32 holds them up to m = 15 and int64 above.
 
-The walk.  The streaming blocks of ``candidate_engine`` visit the m!
-permutations in lexicographic order, as each prefix of m - s images then the
-s! orderings of the values it leaves (``walk``), and read a permutation's XOR
-or OR of table cells from a head per prefix and a tail per (value set,
-ordering) (``split_reduce``), one prefix a block.
+The halves.  Both censuses split the positions into a head, the first
+p = m - s, and a tail, the last s, and pair, for each s-set R of values,
+every ordering of the other values on the head with every ordering of R on
+the tail (``halves(m, s)``).  A table's XOR or OR over a permutation's cells
+is that of its head's and its tail's (``split_reduce``), and its k fixed
+points are the h of its head and the t of its tail.  The streaming blocks
+of ``candidate_engine`` take s = ``suffix_len(m)``, one head ordering a
+block, and visit the heads in lexicographic order, so every block lists its
+s! permutations, and all blocks the m!, in lexicographic order.
 
-The halves.  The kernel only counts, so it needs no order.  It splits the
-positions into a head, the first p = m - s, and a tail, the last
-s = ceil(m/2), and pairs, for each s-set R of values, every ordering of the
-other values on the head with every ordering of R on the tail
-(``halves``).  A pair's code is the XOR of its head's and its tail's, and
-its k fixed points are the h of its head and the t of its tail, so the
-kernel tallies passing pairs per (h, t): a float32 matmul of the pass mask
-against a one-hot of the tail orderings' t, folded by the head orderings' h
-into int64.  Both halves' codes come from ``reduce_orderings``, as does the
-tail of ``split_reduce``.  A chunk holds whole value sets, or one set's head
-orderings in slices, at most CHUNK_ROWS pairs and at least one head ordering.
+The kernel only counts, so it needs no order.  It takes s = ceil(m/2) and
+tallies passing pairs per (h, t): a float32 matmul of the pass mask against
+a one-hot of the tail orderings' t, folded by the head orderings' h into
+int64.  A chunk holds whole value sets, or one set's head orderings in
+slices, at most CHUNK_ROWS pairs and at least one head ordering.
 """
 
 from __future__ import annotations
@@ -50,42 +48,22 @@ import numpy as np
 
 KERNEL = "numpy"
 
-SUFFIX_LEN = 6  # streaming blocks: s = min(m, SUFFIX_LEN), 720 orderings per prefix
+SUFFIX_LEN = 6  # streaming blocks: s = min(m, SUFFIX_LEN), 720 orderings per block
 CHUNK_ROWS = 1 << 15  # kernel: (head ordering, tail ordering) pairs per vector operation
-
-
-def suffix_orders(s: int) -> np.ndarray:
-    """All s! orderings of range(s): row c holds the value at position c."""
-    return walk(s, 0)[0]
 
 
 def suffix_len(m: int) -> int:
     return min(m, SUFFIX_LEN)
 
 
-@functools.lru_cache(maxsize=4)  # streaming: walk(m, s), walk(s, 0); kernel: walk(p, 0), walk(s, 0)
-def walk(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prefixes of the first m - s images, in lexicographic order, and what each leaves.
-
-    ``prefixes[j, k]`` is position j's image under prefix k, and ``sets[rest[k]]``
-    the values it leaves; prefix k, then ``sets[rest[k]]`` in each ordering
-    of ``suffix_orders(s)``, lists the permutations of range(m) in order.
-    """
-    p = m - s
-    n = math.perm(m, p)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(m), p))
-    prefixes = np.fromiter(flat, dtype=np.int8, count=p * n).reshape(n, p).T.copy()
-    sets = np.array(list(itertools.combinations(range(m), s)), dtype=np.int8)
-    bits = np.int32(1) << np.arange(m, dtype=np.int32)
-    index = np.zeros(1 << m, dtype=np.int32)
-    index[bits[sets].sum(axis=1)] = np.arange(len(sets), dtype=np.int32)
-    used = np.zeros(n, dtype=np.int32)  # one row at a time: no (m - s, n) temporary
-    for images in prefixes:
-        used |= bits[images]
-    tables = prefixes, index[used ^ ((1 << m) - 1)], sets
-    for table in tables:  # cached: every caller shares them
-        table.flags.writeable = False
-    return tables
+@functools.lru_cache(maxsize=4)  # a census reads orderings(m - s) and orderings(s), at both s
+def orderings(n: int) -> np.ndarray:
+    """All n! orderings of range(n), in lexicographic order: ``[q, c]`` is position q's value."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    orders = np.fromiter(flat, dtype=np.int8, count=n * math.factorial(n))
+    orders = orders.reshape(math.factorial(n), n).T.copy()
+    orders.flags.writeable = False  # cached: every caller shares it
+    return orders
 
 
 def reduce_orderings(rows: np.ndarray, sets: np.ndarray, op: np.ufunc) -> np.ndarray:
@@ -93,35 +71,18 @@ def reduce_orderings(rows: np.ndarray, sets: np.ndarray, op: np.ufunc) -> np.nda
 
     ``rows[q]`` is the table row of the q-th of n positions and ``sets[r]``
     holds n values; ``out[r, c]`` reduces ``rows[q, sets[r, orders[q, c]]]``
-    over q, with ``orders = suffix_orders(n)``.
+    over q, with ``orders = orderings(n)``.
     """
-    orders = suffix_orders(sets.shape[1])
+    orders = orderings(sets.shape[1])
     out = np.zeros((len(sets), orders.shape[1]), dtype=rows.dtype)
     for row, order in zip(rows, orders):
         op(out, np.take(row[sets], order, axis=1), out=out)
     return out
 
 
-def split_reduce(table: np.ndarray, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
-    """``op`` (a bitwise ufunc, identity 0) over every permutation's cells, in two parts.
-
-    With ``walk(m, s)``, s = ``suffix_len(m)``, ``head[k]`` reduces prefix
-    k's cells ``table[j, prefixes[j, k]]``, and ``tail[r, c]`` the cells of
-    the last s positions under the c-th ordering of ``sets[r]``, so prefix k
-    then ordering c reduces to ``op(head[k], tail[rest[k], c])``.
-    """
-    m = len(table)
-    s = suffix_len(m)
-    prefixes, _, sets = walk(m, s)
-    head = np.zeros(prefixes.shape[1], dtype=table.dtype)
-    for row, images in zip(table, prefixes):
-        op(head, row[images], out=head)
-    return head, reduce_orderings(table[m - s :], sets, op)
-
-
-@functools.lru_cache(maxsize=2)  # a census reads one m; 1.3 MB at m = 12
-def halves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The value sets of the kernel's head, p = m - s positions, and tail, s = ceil(m/2).
+@functools.lru_cache(maxsize=2)  # one m a census, s = ceil(m/2) or suffix_len(m); 1.3 MB at m = 12
+def halves(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The value sets of a head, the first p = m - s positions, and a tail, the last s.
 
     ``tail_sets[r]`` is the r-th s-set of values and ``head_sets[r]`` the
     other p values, both increasing.  ``head_fixed[r, i]`` is the number of
@@ -129,7 +90,6 @@ def halves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ``tail_fixed[r, c]`` that of the c-th ordering of ``tail_sets[r]`` on the
     tail, in the order of ``reduce_orderings``.
     """
-    s = (m + 1) // 2
     chosen = list(itertools.combinations(range(m), s))
     tail_sets = np.array(chosen, dtype=np.int8).reshape(len(chosen), s)
     head_sets = np.array(
@@ -142,6 +102,20 @@ def halves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     for table in tables:  # cached: every census of this m shares them
         table.flags.writeable = False
     return tables
+
+
+def split_reduce(table: np.ndarray, s: int, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` (a ufunc, identity 0) over every permutation's cells, as a head and a tail.
+
+    The cells are ``table[j, pi(j)]``.  With ``halves(m, s)``, ``head[r, i]``
+    reduces those of the first m - s positions under the i-th ordering of
+    ``head_sets[r]``, and ``tail[r, c]`` those of the last s under the c-th
+    ordering of ``tail_sets[r]``, so that pair reduces to
+    ``op(head[r, i], tail[r, c])``.
+    """
+    head_sets, tail_sets, _, _ = halves(len(table), s)
+    p = head_sets.shape[1]
+    return reduce_orderings(table[:p], head_sets, op), reduce_orderings(table[p:], tail_sets, op)
 
 
 def order_masks(sigma) -> np.ndarray:
@@ -168,10 +142,10 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     codes[np.arange(m), np.arange(m)] = np.int64(1) << np.arange(m, 2 * m)
     codes[0] ^= sum(1 << i for i in range(m) if not v[i])
     codes = codes.astype(dtype)
-    head_sets, tail_sets, head_fixed, tail_fixed = halves(m)
-    p, s = head_sets.shape[1], tail_sets.shape[1]
-    head = reduce_orderings(codes[:p], head_sets, np.bitwise_xor)
-    tail = reduce_orderings(codes[p:], tail_sets, np.bitwise_xor)
+    s = (m + 1) // 2
+    p = m - s
+    _, _, head_fixed, tail_fixed = halves(m, s)
+    head, tail = split_reduce(codes, s, np.bitwise_xor)
 
     heads, tails = head.shape[1], tail.shape[1]
     if heads * tails <= CHUNK_ROWS:  # whole value sets a chunk

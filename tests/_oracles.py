@@ -22,7 +22,8 @@ tests read.
 one at a time with ``itertools``, permutations in lexicographic order and a
 permutation's boundary assignments with its first fixed point most
 significant, each built by ``candidate_for`` from a permutation and a
-boundary assignment; the library lists them by blocks of ``kernel.walk``.
+boundary assignment; the library lists them by blocks of ``kernel.halves``,
+one head ordering a block.
 """
 
 import itertools

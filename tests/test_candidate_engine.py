@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -255,17 +256,16 @@ class TestBlockClassifier:
     def test_sign_zero_masks_are_the_moved_images(self, random_product_game):
         # The only zero factor of player j, moved to a, is in player a's own
         # difference (a column's thresholds are distinct), and a fixed
-        # position's boundary factor is never zero.  So Z = OR_j ZER[j, pi(j)]
-        # is the set of moved players, which never meets F: the sign route's
-        # zero test can fail only on an injected table, and is kept as a guard.
+        # position's boundary factor is never zero.  So the zero factors of a
+        # permutation lie in the differences of its moved players, never of a
+        # fixed point: the reason the sign route has no zero test.
         rng = random.Random(50)
         for _ in range(50):
             m = rng.randint(2, 7)
-            _, zero, _ = candidate_engine.sign_masks(
-                candidate_engine.sign_table(random_product_game(m, rng))
-            )
-            expected = [[0 if a == j else 1 << a for a in range(m)] for j in range(m)]
-            assert zero.tolist() == expected
+            table = candidate_engine.sign_table(random_product_game(m, rng))
+            # column a = j is unread: a fixed point j reads its boundary columns m, m + 1
+            zeros = [(j, i, a) for j, i, a in np.argwhere(table == 0).tolist() if a != j]
+            assert zeros == [(j, a, a) for j in range(m) for a in range(m) if a != j]
 
     def test_boundary_layout_cache_is_bounded(self):
         layout = candidate_engine._boundary_layout
@@ -279,12 +279,11 @@ class TestBlockClassifier:
                 table[0] = 1
 
     def test_blocks_walk_permutations_in_order(self):
-        for m in (1, 3, 8):
+        for m in (1, 3, 7, 8, 9):
             blocks = [block for block, _ in classified_blocks(maximal_game(m), "increment")]
             # every permutation owns a candidate, so owner ends at the block's last one
             sizes = [int(b.owner[-1]) + 1 for b in blocks]
-            assert all(size <= 5040 for size in sizes)
-            assert [b.prefix for b in blocks] == list(range(len(blocks)))
+            assert sizes == [math.factorial(kernel.suffix_len(m))] * len(blocks)
             game = maximal_game(m)
             # owner is sorted, so each permutation's first candidate is found by bisection
             perms = [

@@ -49,6 +49,12 @@ BAD_GAME_FILES = {
     "bool-v.json": _maximal_m3_file(v=[False, False, False]),
     "float-v.json": _maximal_m3_file(v=[0.0, 0, 0]),
     "float-sigma.json": _maximal_m3_file(sigma=[[1.0, 2.0, 3.0], [3, 2, 1], [1, 2, 3]]),
+    "zero-m-product.json": {
+        "m": 0,
+        "mode": "exact",
+        "utilities": [],
+        "product": {"v": [], "sigma": [], "a": {}},
+    },
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -393,6 +399,26 @@ class TestInputValidation:
                 ["classify", "float-sigma.json"],
                 "key 'product.sigma': must hold integers, not a number",
             ),
+            (
+                ["construct", "--m", "4", "--sigma", "id;id;id;(1 2 3)(3 2 1)", "--out", "g.json"],
+                "cycles must be disjoint in '(1 2 3)(3 2 1)'",
+            ),
+            (
+                ["construct", "--m", "4", "--sigma", "id;id;id;(1 2)(2 3)", "--out", "g.json"],
+                "cycles must be disjoint in '(1 2)(2 3)'",
+            ),
+            (["classify", "zero-m-product.json"], "key 'm' must be positive, not 0"),
+            (
+                ["classify", "zero-m-product.json", "--method", "increment"],
+                "key 'm' must be positive, not 0",
+            ),
+            (
+                ["classify", "zero-m-product.json", "--method", "sign"],
+                "key 'm' must be positive, not 0",
+            ),
+            (["candidates", "zero-m-product.json"], "key 'm' must be positive, not 0"),
+            (["solve", "zero-m-product.json"], "key 'm' must be positive, not 0"),
+            (["deform", "zero-m-product.json"], "key 'm' must be positive, not 0"),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

@@ -81,97 +81,113 @@ class TestKernelAgreement:
         assert all(type(n) is int for n in cand + eq)
 
 
+def _sizes(m):
+    """The two tail sizes a census of m reads: the kernel's and the streaming blocks'."""
+    return sorted({(m + 1) // 2, kernel.suffix_len(m)})
+
+
+def _pairs(m, s):
+    """Every pair of ``halves(m, s)`` as (r, i, c, permutation), in the tables' order."""
+    head_sets, tail_sets, _, _ = kernel.halves(m, s)
+    head_orders, tail_orders = kernel.orderings(m - s), kernel.orderings(s)
+    for r in range(len(tail_sets)):
+        for i in range(head_orders.shape[1]):
+            head = head_sets[r][head_orders[:, i]].tolist()
+            for c in range(tail_orders.shape[1]):
+                yield r, i, c, tuple(head + tail_sets[r][tail_orders[:, c]].tolist())
+
+
 class TestWalk:
+    # The streaming blocks walk the permutations in lexicographic order: one
+    # head ordering of halves(m, s) a block, the blocks sorted by their heads'
+    # images, and each block's tail orderings as the tables list them.
     @pytest.mark.parametrize(
         "m, s", [(m, s) for m in range(1, 8) for s in range(1, m + 1)] + [(9, 6)]
     )
     def test_walk_then_orderings_is_lexicographic(self, m, s):
-        prefixes, rest, sets = kernel.walk(m, s)
-        orders = kernel.suffix_orders(s)
-        perms = [
-            tuple(prefixes[:, k]) + tuple(sets[r][orders[:, c]])
-            for k, r in enumerate(rest)
-            for c in range(orders.shape[1])
-        ]
-        assert perms == list(itertools.permutations(range(m)))
+        perms = [pi for *_, pi in _pairs(m, s)]
+        walked = sorted(perms, key=lambda pi: pi[: m - s])  # stable: a head's tails keep order
+        assert walked == list(itertools.permutations(range(m)))
 
     def test_cached_tables_are_read_only(self):
-        for table in (*kernel.walk(5, 3), kernel.suffix_orders(3)):
+        for n in range(7):
+            orders = kernel.orderings(n)
+            assert orders.T.tolist() == [list(o) for o in itertools.permutations(range(n))]
+        for table in (*kernel.halves(5, 3), kernel.orderings(3)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
     def test_cache_is_bounded(self):
-        # a streaming census splits its tables over walk(m, s) and walk(s, 0);
-        # a sweep over m keeps no more than maxsize of them, and a repeat hits
-        maxsize = kernel.walk.cache_info().maxsize
-        assert maxsize is not None and 2 <= maxsize <= 8
-        for m in range(2, 10):
-            kernel.split_reduce(np.eye(m, dtype=np.int64), np.bitwise_or)
-        info = kernel.walk.cache_info()
-        assert info.currsize <= maxsize
-        kernel.split_reduce(np.eye(9, dtype=np.int64), np.bitwise_or)
-        assert kernel.walk.cache_info().misses == info.misses
-        for table in (*kernel.walk(9, 6), kernel.suffix_orders(6)):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 1
+        # a census of m splits its tables over halves(m, s) and reads
+        # orderings(m - s) and orderings(s), at the kernel's s or the
+        # streaming blocks'; a sweep over m at both keeps no more than
+        # maxsize of them, and a repeat hits
+        caches = kernel.halves, kernel.orderings
+        for cache in caches:
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and 2 <= maxsize <= 8
+        for m in range(2, 11):
+            for s in _sizes(m):
+                kernel.split_reduce(np.eye(m, dtype=np.int64), s, np.bitwise_or)
+        infos = [cache.cache_info() for cache in caches]
+        assert all(info.currsize <= info.maxsize for info in infos)
+        kernel.split_reduce(np.eye(10, dtype=np.int64), 6, np.bitwise_or)
+        assert [cache.cache_info().misses for cache in caches] == [i.misses for i in infos]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_split_reduce_matches_every_permutation(self, m):
         rng = np.random.default_rng(m)
         table = rng.integers(0, 1 << m, size=(m, m))
-        _, rest, _ = kernel.walk(m, kernel.suffix_len(m))
-        for op in (np.bitwise_xor, np.bitwise_or):
-            head, tail = kernel.split_reduce(table, op)
-            got = op(head[:, None], tail[rest]).ravel().tolist()
-            expected = [
-                int(op.reduce(table[np.arange(m), pi])) for pi in itertools.permutations(range(m))
-            ]
-            assert got == expected
+        for s in _sizes(m):
+            for op in (np.bitwise_xor, np.bitwise_or):
+                head, tail = kernel.split_reduce(table, s, op)
+                got = {pi: int(op(head[r, i], tail[r, c])) for r, i, c, pi in _pairs(m, s)}
+                expected = {
+                    pi: int(op.reduce(table[np.arange(m), pi]))
+                    for pi in itertools.permutations(range(m))
+                }
+                assert got == expected
 
 
 class TestHalves:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_pairs_list_every_permutation_once(self, m):
-        head_sets, tail_sets, head_fixed, tail_fixed = kernel.halves(m)
-        p = head_sets.shape[1]
-        assert tail_sets.shape[1] == m - p == (m + 1) // 2
-        head_orders, tail_orders = kernel.suffix_orders(p), kernel.suffix_orders(m - p)
-        perms = []
-        for r in range(len(tail_sets)):
-            for i in range(head_orders.shape[1]):
-                for c in range(tail_orders.shape[1]):
-                    pi = [*head_sets[r][head_orders[:, i]], *tail_sets[r][tail_orders[:, c]]]
-                    fixed = sum(a == j for j, a in enumerate(pi))
-                    assert fixed == head_fixed[r, i] + tail_fixed[r, c]
-                    perms.append(tuple(pi))
-        assert sorted(perms) == list(itertools.permutations(range(m)))
+        for s in range(m + 1):
+            _, _, head_fixed, tail_fixed = kernel.halves(m, s)
+            perms = []
+            for r, i, c, pi in _pairs(m, s):
+                fixed = sum(a == j for j, a in enumerate(pi))
+                assert fixed == head_fixed[r, i] + tail_fixed[r, c]
+                perms.append(pi)
+            assert sorted(perms) == list(itertools.permutations(range(m)))
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_fixed_point_counts_follow_the_closed_form(self, m):
         # C(m, k) !(m - k) permutations have k fixed points, so as many pairs have h + t = k
-        _, _, head_fixed, tail_fixed = kernel.halves(m)
-        per_k = [0] * (m + 1)
-        for head_row, tail_row in zip(head_fixed, tail_fixed):
-            for h, heads in enumerate(np.bincount(head_row).tolist()):
-                for t, tails in enumerate(np.bincount(tail_row).tolist()):
-                    per_k[h + t] += heads * tails
-        assert per_k == [math.comb(m, k) * subfactorial(m - k) for k in range(m + 1)]
+        for s in _sizes(m):
+            _, _, head_fixed, tail_fixed = kernel.halves(m, s)
+            per_k = [0] * (m + 1)
+            for head_row, tail_row in zip(head_fixed, tail_fixed):
+                for h, heads in enumerate(np.bincount(head_row).tolist()):
+                    for t, tails in enumerate(np.bincount(tail_row).tolist()):
+                        per_k[h + t] += heads * tails
+            assert per_k == [math.comb(m, k) * subfactorial(m - k) for k in range(m + 1)]
 
     def test_cache_is_bounded_read_only_and_small(self):
-        # the cache keeps int8 counts per m, never a float one-hot: at m = 12
-        # about 1.3 MB, and the kernel reads walk(6, 0) for the orderings
+        # the cache keeps int8 counts per (m, s), never a float one-hot: at
+        # m = 12 about 1.3 MB, and the kernel reads orderings(6) for both halves
         maxsize = kernel.halves.cache_info().maxsize
         assert maxsize is not None and 1 <= maxsize <= 4
         kernel.halves.cache_clear()
-        kernel.walk.cache_clear()
+        kernel.orderings.cache_clear()
         report = census(maximal_game(12), "increment")
         assert report.equilibria_per_class == [subfactorial(12)] + [
             math.comb(12, l) * 2 ** (l - 1) * subfactorial(12 - l) for l in range(1, 13)
         ]
         assert report.total_equilibria == maximal_equilibrium_count(12)
         assert kernel.halves.cache_info().currsize == 1
-        assert kernel.walk.cache_info().currsize == 1
-        cached = (*kernel.halves(12), *kernel.walk(6, 0))
+        assert kernel.orderings.cache_info().currsize == 1
+        cached = (*kernel.halves(12, 6), kernel.orderings(6))
         assert sum(table.nbytes for table in cached) <= 4 << 20
         for table in cached:
             with pytest.raises(ValueError, match="read-only"):
