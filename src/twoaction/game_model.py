@@ -420,8 +420,35 @@ def perturb(game: TwoActionGame | ProductTwoActionGame, epsilon: float, seed: in
     return TwoActionGame(base.m, tables, mode=FLOAT)
 
 
+# One item a line: JSON escapes a newline inside a string, so each raw
+# newline of its output is a separator.
+_ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))
+
+
+def _indented_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=1)`` of dicts with string keys, lists and scalars.
+
+    ``indent`` turns the standard library's C encoder off, so each non-empty
+    dict or list of scalars is C-encoded one item a line, and the
+    indentation is spliced in after each newline.
+    """
+    if type(value) not in (dict, list) or not value:
+        return json.dumps(value)
+    pad = "\n" + " " * (depth + 1)
+    items = value.values() if type(value) is dict else value
+    if set(map(type, items)).isdisjoint((dict, list)):
+        text = _ITEM_LINES.encode(value)
+        return text[0] + pad + text[1:-1].replace("\n", pad) + pad[:-1] + text[-1]
+    if type(value) is dict:
+        items = [json.dumps(k) + ": " + _indented_json(v, depth + 1) for k, v in value.items()]
+    else:
+        items = [_indented_json(item, depth + 1) for item in value]
+    brackets = "{}" if type(value) is dict else "[]"
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+
+
 def save_game(game: TwoActionGame | ProductTwoActionGame, path) -> None:
-    text = json.dumps(game.to_dict(), indent=1) + "\n"
+    text = _indented_json(game.to_dict()) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -17,11 +17,19 @@ written in the monomial basis of the face, so F, its Jacobian and the
 boundary conditions are matrix products, and the supports with the same r
 are tracked as one NumPy batch.
 
+A payoff difference is multilinear, so on a face it lies between its least
+and greatest value at the face's 2^r vertices.  A support is proven to hold
+no equilibrium, and its paths are not tracked, when a free player's
+difference has one strict sign at every vertex, or a boundary player's
+signed difference is below the margin at every vertex (``stats["excluded"]``).
+
 A tracking round is Heun's predictor and a chord corrector: both Newton
 corrections reuse the inverse Jacobian at the Heun point, and an accepted
 step carries it to the next round's tangent, so a round builds and inverts
 two Jacobians instead of four.  The Jacobians it stands in for differ from
-it by at most the accepted first correction.
+it by at most the accepted first correction.  The next step aims that
+correction at 0.3 of its bound, from Heun's O(h^3) error; a step rejected
+for it shrinks by the same estimate, not by a fixed half.
 
 Every path ends in one of PATH_STATES.  Two paths of one support that end at
 the same point are a path jump; a support with a jumped or failed path is
@@ -64,7 +72,10 @@ _HOMOTOPY_SEED = 20240817
 # accepted when the first correction is at most _CORRECTOR_TOL * (1 + |x|)
 # and the second at most a tenth of it.  At 2e-3 paths of maximal_game(6)
 # jumped (the re-track caught them), at 1e-2 one failed even after it.  A
-# re-track divides both bounds by _RETRACK_SHRINK.
+# re-track divides both bounds by _RETRACK_SHRINK.  The step size control
+# in _track only picks the next step within these bounds: it aims the first
+# correction at 0.3 * _CORRECTOR_TOL, so few steps are rejected, and it
+# never loosens the acceptance test.
 _MAX_STEP = 0.25
 _CORRECTOR_TOL = 1e-3
 _RETRACK_SHRINK = 8
@@ -98,7 +109,7 @@ class SupportProfile:
     def m(self) -> int:
         return len(self.kinds)
 
-    @property
+    @functools.cached_property
     def free_players(self) -> tuple[int, ...]:
         """1-based indices of the fully mixed players."""
         return tuple(i for i, k in enumerate(self.kinds, start=1) if k == FREE)
@@ -148,19 +159,60 @@ def _vertex_differences(game: TwoActionGame | ProductTwoActionGame) -> np.ndarra
     return np.stack([np.broadcast_to(d, (2,) * base.m) for d in diffs])
 
 
-def _face_coefficients(vertex: np.ndarray, supports: Sequence[SupportProfile]) -> np.ndarray:
-    """Every player's payoff difference on each face, in the monomial basis.
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """What the solver reads of the kinds of supports with the same r."""
 
-    Entry [s, i, S] multiplies prod_{j in S} x_j for player i on the face of
-    ``supports[s]``, with S a bit mask over its free players, the first one
-    most significant: the Moebius transform of the values at the vertices.
+    supports: tuple[SupportProfile, ...]
+    free: np.ndarray  # (n, r): each support's free players, 0-based
+    corners: np.ndarray  # (n, 2^r): the pure profile at each vertex of its face
+    sign: np.ndarray  # (n, m): -1 at action 0, +1 at action 1, 0 when free
+
+
+def _batch(supports: Sequence[SupportProfile]) -> _Batch:
+    """The layout of supports with the same r; its arrays are read-only.
+
+    Vertex S of a face is a bit mask over its free players, the first one
+    most significant, and the pure profile there is an index into the
+    flattened (2, ..., 2) axes of _vertex_differences.
     """
-    faces = [tuple(slice(None) if k == FREE else int(k == ONE) for k in sp.kinds) for sp in supports]
-    coeffs = np.stack([vertex[(slice(None),) + face] for face in faces])
+    m, r = supports[0].m, len(supports[0].free_players)
+    free = np.array([sp.free_players for sp in supports], dtype=int).reshape(len(supports), r) - 1
+    sign = np.array([[(k == ONE) - (k == ZERO) for k in sp.kinds] for sp in supports])
+    weight = 1 << np.arange(m - 1, -1, -1)
+    corners = ((sign > 0) @ weight)[:, None]
+    for j in free.T:  # each free player doubles the vertices, as the next bit
+        corners = np.stack([corners, corners + weight[j, None]], axis=2).reshape(len(supports), -1)
+    for table in (free, corners, sign):
+        table.flags.writeable = False
+    return _Batch(tuple(supports), free, corners, sign)
+
+
+@functools.lru_cache(maxsize=8)
+def _batches(m: int) -> tuple[_Batch, ...]:
+    """The supports of m players, one batch per number of free players."""
+    supports = sorted(all_supports(m), key=lambda sp: sp.face_class)
+    groups = itertools.groupby(supports, key=lambda sp: sp.face_class)
+    return tuple(_batch(list(group)) for _, group in groups)
+
+
+def _face_values(vertex: np.ndarray, batch: _Batch) -> np.ndarray:
+    """Every player's payoff difference at each vertex of each face, (n, m, 2^r)."""
+    return vertex.reshape(len(vertex), -1)[:, batch.corners].transpose(1, 0, 2)
+
+
+def _moebius(values: np.ndarray) -> np.ndarray:
+    """The payoff differences of _face_values in the monomial basis of each face.
+
+    Entry [s, i, S] multiplies prod_{j in S} x_j for player i, with S a bit
+    mask over the free players in the order of the vertices.
+    """
+    n, m, size = values.shape
+    coeffs = values.reshape((n, m) + (2,) * (size.bit_length() - 1))
     for axis in range(2, coeffs.ndim):
         low, high = np.split(coeffs, 2, axis=axis)
         coeffs = np.concatenate([low, high - low], axis=axis)
-    return coeffs.reshape(coeffs.shape[:2] + (-1,))
+    return coeffs.reshape(n, m, size)
 
 
 @functools.cache
@@ -168,13 +220,14 @@ def _bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Which free players each monomial holds, and where its gradients come from.
 
     ``bits[j, 0, S]`` says whether player j is in the bit mask S, the first
-    one most significant.  ``drop[S, k]`` is S without k when k is in S, and
-    otherwise 2^r, the index of a zero column appended to the monomials.
+    one most significant.  For k < r, ``columns[S, k]`` is S without k when
+    k is in S, and otherwise 2^r, the index of a zero column appended to the
+    monomials; ``columns[S, r]`` is S itself.
     """
     masks = np.arange(2**r)
     bit = 1 << np.arange(r - 1, -1, -1)[:, None]
     bits = (masks & bit) > 0
-    tables = bits[:, None, :], np.where(bits, masks ^ bit, 2**r).T
+    tables = bits[:, None, :], np.vstack([np.where(bits, masks ^ bit, 2**r), masks]).T
     for table in tables:  # cached: every caller shares them
         table.flags.writeable = False
     return tables
@@ -183,9 +236,15 @@ def _bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
 def _monomials(x: np.ndarray) -> np.ndarray:
     """All monomials prod_{j in S} x_j of a batch of points, shape (P, 2^r).
 
-    Column S is in the bit-mask order of _face_coefficients.
+    Column S is in the bit-mask order of _moebius.
     """
     return np.where(_bit_tables(x.shape[1])[0], x.T[:, :, None], 1).prod(axis=0)
+
+
+def _gather(M: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """M[:, columns] of the monomials M, with column 2^r zero."""
+    padded = np.concatenate((M, np.zeros((len(M), 1), dtype=M.dtype)), axis=1)
+    return padded[:, columns]
 
 
 def _gradients(M: np.ndarray) -> np.ndarray:
@@ -194,14 +253,18 @@ def _gradients(M: np.ndarray) -> np.ndarray:
     d/dx_k of the monomial S is the monomial S without k if k is in S, else
     0, so dM is one gather from M; its transpose is contiguous.
     """
-    P, r = len(M), M.shape[1].bit_length() - 1
-    padded = np.concatenate((M, np.zeros((P, 1), dtype=M.dtype)), axis=1)
-    return padded[:, _bit_tables(r)[1]].transpose(0, 2, 1)
+    return _gather(M, _bit_tables(M.shape[1].bit_length() - 1)[1][:, :-1]).transpose(0, 2, 1)
 
 
 def _jacobian(C: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Jacobian C . dM^T, by x, of the systems with coefficients C at monomials M."""
     return C @ _gradients(M).transpose(0, 2, 1)
+
+
+def _linearized(C: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian C . dM^T and the values C . M, as a column, in one matmul."""
+    both = C @ _gather(M, _bit_tables(M.shape[1].bit_length() - 1)[1])
+    return both[..., :-1], both[..., -1:]
 
 
 def _inverse(J: np.ndarray) -> np.ndarray:
@@ -220,11 +283,13 @@ def _step(inverse: np.ndarray, rhs: np.ndarray, M: np.ndarray) -> np.ndarray:
     return -(inverse @ (rhs @ M[..., None]))[..., 0]
 
 
+@functools.lru_cache(maxsize=16)
 def _start_system(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of G_i = prod_{j != i} (x_j - a_ij), and its !r roots.
 
     G vanishes when every equation i picks one factor j = pi(i) with
-    x_j = a_ij and every x_j is picked once: pi is a derangement.
+    x_j = a_ij and every x_j is picked once: pi is a derangement.  Cached,
+    so both arrays are read-only.
     """
     rng = np.random.default_rng([_HOMOTOPY_SEED, 0, r])
     a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
@@ -236,6 +301,8 @@ def _start_system(r: int) -> tuple[np.ndarray, np.ndarray]:
     pis = np.array([[img - 1 for img in pi.images] for pi in enumerate_derangements(r)])
     roots = np.empty(pis.shape, dtype=complex)
     roots[np.arange(len(pis))[:, None], pis] = a[np.arange(r), pis]
+    for table in (coeffs, roots):
+        table.flags.writeable = False
     return coeffs, roots
 
 
@@ -244,7 +311,8 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
 
     ``target`` holds F's coefficients per path, ``start`` G's with gamma.
     ``shrink`` divides the step bounds.  Returns the points reached, the
-    mask of paths that reached t = 1 and the mask of those that diverged.
+    mask of paths that reached t = 1, the mask of those that diverged, and
+    each path's accepted and rejected rounds.
 
     A round builds and inverts two Jacobians, not four.  The corrector is a
     chord method: both Newton corrections at t1 use the inverse at the Heun
@@ -255,45 +323,59 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     fresh one.  The first inverse per path is taken once, at t = 0.
     """
     max_step, tol = _MAX_STEP / shrink, _CORRECTOR_TOL / shrink
-    dC = target - start
-    x, t = x.copy(), np.zeros(len(x))
+    n = len(x)
+    end, reached, diverged = x.copy(), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    # the paths still moving and their state, compacted when one stops
+    paths, dC, x, t = np.arange(n), target - start, x.copy(), np.zeros(n)
     inverse = _inverse(_jacobian(start, _monomials(x)))
-    step = np.full(len(x), max_step)
-    reached, diverged = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    step, acc, rej = np.full(n, max_step), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     for _ in range(_MAX_ROUNDS):
-        if not len(active):
+        if not len(paths):
             break
-        dCa, xa, ta = dC[active], x[active], t[active]
-        h = np.minimum(step[active], 1 - ta)
-        t1 = np.where(h >= 1 - ta, 1.0, ta + h)
-        C1 = start + t1[:, None, None] * dCa
-        k1 = _step(inverse[active], dCa, _monomials(xa))
-        M = _monomials(xa + h[:, None] * k1)
-        k2 = _step(_inverse(_jacobian(C1, M)), dCa, M)
-        xp = xa + (h / 2)[:, None] * (k1 + k2)
-        M = _monomials(xp)
-        chord = _inverse(_jacobian(C1, M))
-        d1 = _step(chord, C1, M)
+        h = np.minimum(step, 1 - t)
+        t1 = np.where(h >= 1 - t, 1.0, t + h)
+        C1 = start + t1[:, None, None] * dC
+        k1 = _step(inverse, dC, _monomials(x))
+        M = _monomials(x + h[:, None] * k1)
+        k2 = _step(_inverse(_jacobian(C1, M)), dC, M)
+        xp = x + (h / 2)[:, None] * (k1 + k2)
+        J, values = _linearized(C1, _monomials(xp))
+        chord = _inverse(J)
+        d1 = -(chord @ values)[..., 0]
         d2 = _step(chord, C1, _monomials(xp + d1))
         xp += d1 + d2
         size = 1 + np.abs(xp).max(axis=1)
         n1 = np.abs(d1).max(axis=1)
         ok = (n1 <= tol * size) & (np.abs(d2).max(axis=1) <= 0.1 * n1 + 1e-14 * size)
-        # Heun's error is O(h^3): aim the next first correction at tol / 2,
-        # halving the step where that is undefined
-        factor = np.cbrt(0.5 * tol * size / n1)
-        factor = np.where(np.isnan(factor), 0.5, np.minimum(np.maximum(factor, 0.25), 2))
-        step[active] = np.where(ok, np.minimum(h * factor, max_step), h * np.minimum(factor, 0.5))
-        x[active[ok]], t[active[ok]], inverse[active[ok]] = xp[ok], t1[ok], chord[ok]
-        reached[active[ok & (t1 == 1)]] = True
-        diverged[active[ok & (t1 < 1) & (size > _INFINITY)]] = True
-        active = active[~(reached[active] | diverged[active])]
-    return x, reached, diverged
+        # Heun's error is O(h^3): aim the next first correction at 0.3 tol,
+        # inside the acceptance bound.  A step rejected for its first
+        # correction shrinks by the same estimate, at least to 0.9 h; a step
+        # rejected for any other reason, the estimate says nothing of, halves.
+        factor = np.minimum(np.maximum(np.cbrt(0.3 * tol * size / n1), 0.25), 2)
+        factor = np.where(ok, factor, np.where(n1 > tol * size, np.minimum(factor, 0.9), 0.5))
+        step = np.minimum(h * factor, max_step)
+        acc += ok
+        rej += ~ok
+        np.copyto(x, xp, where=ok[:, None])
+        np.copyto(t, t1, where=ok)
+        np.copyto(inverse, chord, where=ok[:, None, None])
+        stop = ok & ((t1 == 1) | (size > _INFINITY))
+        if stop.any():
+            done = paths[stop]
+            reached[done], diverged[done] = t1[stop] == 1, t1[stop] < 1
+            end[done], accepted[done], rejected[done] = x[stop], acc[stop], rej[stop]
+            keep = ~stop
+            paths, dC, x, t, inverse, step, acc, rej = (
+                a[keep] for a in (paths, dC, x, t, inverse, step, acc, rej)
+            )
+    end[paths], accepted[paths], rejected[paths] = x, acc, rej
+    return end, reached, diverged, accepted, rejected
 
 
-def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (n, !r, r) and states (n, !r) of the paths of n supports.
+def _track_supports(target: np.ndarray, attempt: int):
+    """Endpoints (n, !r, r) and states (n, !r) of the paths of n supports,
+    and the accepted and rejected rounds of all their paths.
 
     ``target`` holds the (n, r, 2^r) coefficients of their systems.  States
     are indices into PATH_STATES.
@@ -303,12 +385,12 @@ def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.nd
     d = len(roots)
     per_path = np.repeat(target, d, axis=0)
     gamma = np.exp(2j * np.pi * np.random.default_rng([_HOMOTOPY_SEED, 1, attempt]).random())
-    x, reached, diverged = _track(
+    x, reached, diverged, accepted, rejected = _track(
         per_path, gamma * start, np.tile(roots, (n, 1)), _RETRACK_SHRINK**attempt
     )
     for _ in range(3):
-        M = _monomials(x)
-        dx = _step(_inverse(_jacobian(per_path, M)), per_path, M)
+        J, values = _linearized(per_path, _monomials(x))
+        dx = -(_inverse(J) @ values)[..., 0]
         x += dx
     size = 1 + np.abs(x).max(axis=1)
     polished = np.abs(dx).max(axis=1) <= _ENDPOINT_TOL * size
@@ -326,21 +408,38 @@ def _track_supports(target: np.ndarray, attempt: int) -> tuple[np.ndarray, np.nd
             dist = np.maximum(dist, np.abs(col[:, None] - col[None, :]))
         close = np.triu(dist <= _ENDPOINT_TOL * size[s, rows], k=1)
         state[s, rows[close.any(axis=0)]] = _FAILED
-    return x, state
+    return x, state, np.array([accepted.sum(), rejected.sum()])
+
+
+def _proven_empty(values: np.ndarray, batch: _Batch, residual: float, margin: float) -> np.ndarray:
+    """The supports whose face the values at its vertices prove to hold no equilibrium.
+
+    A multilinear function on a box lies between its least and its greatest
+    value at a vertex.  So no point of the face is an equilibrium when a free
+    player's payoff difference is above ``residual`` at every vertex, or
+    below -``residual`` at every vertex, or when a boundary player's signed
+    difference is below ``margin`` at every vertex.
+    """
+    own = np.take_along_axis(values, batch.free[..., None], axis=1)
+    one_sign = ((own > residual).all(axis=2) | (own < -residual).all(axis=2)).any(axis=1)
+    signed = batch.sign[..., None] * values
+    losing = ((signed < margin).all(axis=2) & (batch.sign != 0)).any(axis=1)
+    return one_sign | losing
 
 
 def _solve_batch(
-    vertex: np.ndarray, supports: Sequence[SupportProfile], config: SolverConfig
+    vertex: np.ndarray, batch: _Batch, config: SolverConfig
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria and statistics (``solve_all``'s keys) of supports with the same r."""
-    n, r = len(supports), len(supports[0].free_players)
-    unit = np.abs(vertex).max() or 1.0
-    coeffs = _face_coefficients(vertex, supports)
-    free = np.array([sp.free_players for sp in supports], dtype=int).reshape(n, r) - 1
+    supports, free, sign = batch.supports, batch.free, batch.sign
+    (n, r), unit = free.shape, np.abs(vertex).max() or 1.0
+    at_vertices = _face_values(vertex, batch)
+    coeffs = _moebius(at_vertices)
     own = np.take_along_axis(coeffs, free[..., None], axis=1)
     # r = 0: the vertex is the one candidate; r = 1: there is none
     x, state = np.zeros((n, int(r == 0), r)), np.zeros((n, int(r == 0)), dtype=int)
-    degenerate, redo = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    tracked, work = np.arange(n), np.zeros(2, dtype=int)
+    degenerate, redo = np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
     if r == 1:
         # The single equation does not involve the free coordinate: it either
         # fails (generic) or degenerates to a continuum, reported but never
@@ -350,22 +449,23 @@ def _solve_batch(
         scale = np.abs(own).max(axis=2)
         degenerate = (scale == 0).any(axis=1)
         target = own / np.where(scale == 0, 1.0, scale)[..., None]
+        empty = _proven_empty(at_vertices, batch, config.residual_tol * unit, _MARGIN_TOL * unit)
+        tracked = np.flatnonzero(~empty)
         with np.errstate(all="ignore"):
-            x, state = _track_supports(target, 0)
+            x, state, work = _track_supports(target[tracked], 0)
             redo = (state == _FAILED).any(axis=1)
             if redo.any():
-                x[redo], state[redo] = _track_supports(target[redo], 1)
+                x[redo], state[redo], more = _track_supports(target[tracked[redo]], 1)
+                work += more
 
     # residuals of the free players and signed margins of the boundary ones
-    sup, path = np.nonzero(state == _INTERIOR)
-    points = x[sup, path].real
+    row, path = np.nonzero(state == _INTERIOR)
+    sup, points = tracked[row], x[row, path].real
     values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points))
-    sign = np.array([[-1.0 if k == ZERO else 1.0 for k in sp.kinds] for sp in supports])
     residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
-    np.put_along_axis(values, free[sup], np.inf, axis=1)
-    margin = (sign[sup] * values).min(axis=1, initial=np.inf)
+    margin = np.where(sign[sup] != 0, sign[sup] * values, np.inf).min(axis=1, initial=np.inf)
     unproven = residual > config.residual_tol * unit
-    state[sup[unproven], path[unproven]] = _FAILED
+    state[row[unproven], path[unproven]] = _FAILED
 
     solutions: list[SolverEquilibrium] = []
     for s, point, res, mar in zip(sup, points, residual, margin):
@@ -384,8 +484,14 @@ def _solve_batch(
     # r = 0 tracks no path: its one state is the vertex candidate's
     paths = state if r >= 2 else state[:, :0]
     counts = np.bincount(paths.ravel(), minlength=len(PATH_STATES))
-    stats = {"starts": paths.size, "converged": int(counts[:_DIVERGED].sum())}
-    stats["retracked"] = paths.shape[1] * int(redo.sum())
+    stats = {
+        "starts": paths.size,
+        "excluded": (n - len(tracked)) * paths.shape[1],
+        "converged": int(counts[:_DIVERGED].sum()),
+        "retracked": paths.shape[1] * int(redo.sum()),
+        "steps": int(work[0]),
+        "rejected": int(work[1]),
+    }
     stats.update(zip(PATH_STATES, counts.tolist()))
     stats["degenerate_supports"] = int(degenerate.sum())
     return sorted(solutions, key=lambda eq: eq.gamma), stats
@@ -398,7 +504,7 @@ def solve_support(
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria whose support is exactly the given profile, plus its
     statistics, with the keys of ``solve_all``'s."""
-    return _solve_batch(_vertex_differences(game), [support], config)
+    return _solve_batch(_vertex_differences(game), _batch([support]), config)
 
 
 @dataclass
@@ -440,20 +546,22 @@ def solve_all(
 ) -> SolverReport:
     """All equilibria of the game, by support enumeration.
 
-    ``stats`` counts the paths tracked (``starts``: sum over r >= 2 of
-    C(m, r) 2^(m-r) !r), the paths ending at a finite point (``converged``),
-    the paths re-tracked after a jump or failure, the paths ending in each
-    of PATH_STATES, and the degenerate supports.
+    ``stats`` counts the paths: those of supports that the values at the
+    vertices of their face prove empty (``excluded``), the others, which are
+    tracked (``starts``; with ``excluded`` they add up to the sum over r >= 2
+    of C(m, r) 2^(m-r) !r), those ending at a finite point (``converged``),
+    those re-tracked after a jump or failure, and those ending in each of
+    PATH_STATES.  It also counts the tracking rounds summed over the paths,
+    accepted (``steps``) and rejected (``rejected``), and the degenerate
+    supports, over every support.
     """
     vertex = _vertex_differences(game)
     m = len(vertex)
     # one batch per number of free players, the batches spread over the
     # threads; the pool starts no thread unless it is handed work
-    supports = sorted(all_supports(m), key=lambda sp: sp.face_class)
-    groups = [list(g) for _, g in itertools.groupby(supports, key=lambda sp: sp.face_class)]
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         mapper = pool.map if config.threads > 1 else map
-        batches = list(mapper(lambda group: _solve_batch(vertex, group, config), groups))
+        batches = list(mapper(lambda batch: _solve_batch(vertex, batch, config), _batches(m)))
 
     equilibria = sorted(
         itertools.chain.from_iterable(solutions for solutions, _ in batches),

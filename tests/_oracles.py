@@ -18,6 +18,10 @@ extension entry by entry, ``utility`` reads one pure profile through
 the order indicator and permutation predicates the other oracles and the
 tests read.
 
+``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
+exclusion turned off: it tracks the paths of every support, so its
+equilibria show that no support the exclusion skips holds one.
+
 ``enumerate_permutations`` and ``enumerate_candidates`` walk the candidates
 one at a time with ``itertools``, permutations in lexicographic order and a
 permutation's boundary assignments with its first fixed point most
@@ -32,6 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from twoaction import solver
 from twoaction.candidate_engine import EquilibriumCandidate, MethodDisagreement
 from twoaction.combinatorics import (
     Permutation,
@@ -182,6 +189,18 @@ def lam_factored(game: ProductTwoActionGame, i: int, gamma) -> Fraction:
             - game.coeffs.numerators[(i, j)] * (common // scale)
         )
     return Fraction(value, common ** len(others))
+
+
+def solve_all_tracking_every_support(
+    game, config: solver.SolverConfig = solver.SolverConfig()
+) -> solver.SolverReport:
+    """``solver.solve_all`` with no support proven empty: every path is tracked."""
+    proven_empty = solver._proven_empty
+    solver._proven_empty = lambda values, batch, *tols: np.zeros(len(batch.supports), dtype=bool)
+    try:
+        return solver.solve_all(game, config)
+    finally:
+        solver._proven_empty = proven_empty
 
 
 def subfactorial_pair_recursion(n: int) -> int:

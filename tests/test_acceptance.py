@@ -207,6 +207,8 @@ def test_criterion_5_numeric_solver_agreement():
             elapsed = time.perf_counter() - start
             assert report.total == total
             assert report.stats["failed"] == 0
+            # every face of the maximal game is tracked: none is proven empty
+            assert report.stats["excluded"] == 0
             exact = [e.gamma_floats() for e in equilibria(game, method="both")]
             assert len(exact) == total
             # one-to-one nearest-neighbour matching within the pinned tolerance

@@ -384,6 +384,19 @@ class TestPerturbAndSerialization:
             assert "0/1" in game.to_dict()["utilities"][0]
             assert load_game(path).tensor.utilities == game.tensor.utilities
 
+    def test_saved_float_file_is_the_indented_json(self, tmp_path):
+        # float games go through the same writer: shortest round-trip reprs,
+        # signed zeros and exponents, byte for byte
+        rng = random.Random(78)
+        tables = [[[rng.uniform(-1, 1) for _ in range(2**m)] for _ in range(m)] for m in range(1, 8)]
+        tables.append([[-0.0, 1e-300, 2.5e17, -3.0], [0.1, 7e-8, 1.0, 0.0]])
+        games = [TwoActionGame(len(t), t, mode=FLOAT) for t in tables]
+        path = tmp_path / "game.json"
+        for game in games:
+            save_game(game, path)
+            assert path.read_text() == json.dumps(game.to_dict(), indent=1) + "\n"
+            assert load_game(path).utilities == game.utilities
+
     def test_noncanonical_spelling_loads(self, tmp_path):
         game = maximal_game(3)
         path = tmp_path / "game.json"

@@ -1,10 +1,13 @@
+import importlib
+import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import lam_at_profile
+from _oracles import lam_at_profile, solve_all_tracking_every_support
 from twoaction.candidate_engine import census, equilibria
 from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
@@ -113,6 +116,8 @@ class TestSolveAll:
         exact = [e.gamma_floats() for e in equilibria(game, method="both")]
         match_sets([e.gamma for e in report.equilibria], exact, 1e-9)
         assert report.stats["failed"] == 0
+        # no face of a product game is proven empty from its vertices
+        assert report.stats["excluded"] == 0
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_utility_scale_changes_no_answer(self, c):
@@ -152,7 +157,11 @@ class TestHomotopy:
         rng = np.random.default_rng(4)
         for sp in all_supports(4):
             free0 = [i - 1 for i in sp.free_players]
-            coeffs = solver._face_coefficients(vertex, [sp])[0]
+            at_vertices = solver._face_values(vertex, solver._batch([sp]))
+            coeffs = solver._moebius(at_vertices)[0]
+            # the vertices of the face, then points off it
+            corners = np.array(list(itertools.product((0.0, 1.0), repeat=len(free0))))
+            assert np.allclose(solver._monomials(corners) @ coeffs.T, at_vertices[0].T)
             x = rng.uniform(-1, 2, size=(3, len(free0)))
             M = solver._monomials(x)
             for point, values in zip(x, M @ coeffs.T):
@@ -201,11 +210,12 @@ class TestHomotopy:
         monkeypatch.setattr(solver, "_MAX_ROUNDS", 3)
         vertex = solver._vertex_differences(maximal_game(4))
         supports = [sp for sp in all_supports(4) if len(sp.free_players) == 4]
-        target = solver._face_coefficients(vertex, supports)
+        own = solver._moebius(solver._face_values(vertex, solver._batch(supports)))
         start, roots = solver._start_system(4)
-        per_path = np.repeat(target, len(roots), axis=0)
-        _, reached, _ = solver._track(per_path, start, roots, 1)
+        per_path = np.repeat(own, len(roots), axis=0)
+        _, reached, _, accepted, rejected = solver._track(per_path, start, roots, 1)
         assert not reached.any()
+        assert ((accepted + rejected) == 3).all()
         assert calls == [len(roots)] * (1 + 2 * 3)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -237,24 +247,36 @@ class TestPathAccounting:
         )
         assert expected == 294
         assert report.stats["starts"] == 294
+        assert report.stats["excluded"] == 0
         assert report.stats["converged"] == 294
         assert report.stats["failed"] == 0
         assert report.total == 185
+        # the rounds of the 294 paths: exact, so a change in work shows here
+        assert (report.stats["steps"], report.stats["rejected"]) == (10470, 1228)
 
     def test_every_path_ends_in_a_named_state(self):
         for seed in range(3):
             stats = solve_all(random_generic_game(4, np.random.default_rng(seed))).stats
-            assert sum(stats[state] for state in PATH_STATES) == stats["starts"] == 49
+            # every path is either excluded with its support or tracked to a state
+            assert sum(stats[state] for state in PATH_STATES) == stats["starts"]
+            assert stats["starts"] + stats["excluded"] == 49
             assert stats["converged"] == stats["starts"] - stats["diverged"] - stats["failed"]
 
     def test_root_at_infinity_is_diverged(self):
-        # lam_1 = 1 everywhere: the (free, free) system has no finite root
+        # lam_1 = 1 everywhere: the (free, free) system has no finite root.
+        # Its one path, tracked, diverges; solve_all proves the support empty
+        # from the vertices of its face and tracks nothing.
         game = TwoActionGame(2, [[0, 0, 1, 1], [0, 1, 0, -1]], mode=FLOAT)
         stats = solve_all(game).stats
-        assert stats["diverged"] == 1
-        assert stats["converged"] == stats["failed"] == 0
+        assert stats["excluded"] == 1
+        assert stats["starts"] == stats["converged"] == stats["failed"] == 0
+        batch = solver._batch([SupportProfile(("free", "free"))])
+        target = solver._moebius(solver._face_values(solver._vertex_differences(game), batch))
+        with np.errstate(all="ignore"):
+            _, state, _ = solver._track_supports(target, 0)
+        assert state.tolist() == [[PATH_STATES.index("diverged")]]
 
-    @pytest.mark.parametrize("corrector_tol, shrink", [(0.1, 8), (10.0, 1)])
+    @pytest.mark.parametrize("corrector_tol, shrink", [(0.5, 8), (10.0, 1)])
     def test_path_jumps_are_retracked_or_reported(self, monkeypatch, corrector_tol, shrink):
         # a loose step control makes paths jump on maximal_game(4); the
         # census is then exact after re-tracking or the failure is counted
@@ -283,6 +305,85 @@ class TestPathAccounting:
             for key in summed:
                 summed[key] += stats[key]
         assert summed == totals
+
+
+class TestVertexExclusion:
+    @pytest.mark.parametrize("prefers", [0, 1])
+    def test_both_vertex_tests(self, prefers):
+        # players 1 and 2 play matching pennies; player 3 strictly prefers
+        # one action.  Every support with player 3 free fails the one-sign
+        # test (2 + 4 paths), and the one with player 3 on its other action
+        # fails the margin test (1 path), so one path is tracked.
+        profiles = list(itertools.product((0, 1), repeat=3))
+        tables = [
+            [1.0 if b[0] == b[1] else -1.0 for b in profiles],
+            [1.0 if b[0] != b[1] else -1.0 for b in profiles],
+            [1.0 if b[2] == prefers else 0.0 for b in profiles],
+        ]
+        report = solve_all(TwoActionGame(3, tables, mode=FLOAT))
+        assert (report.stats["excluded"], report.stats["starts"]) == (7, 1)
+        assert [eq.gamma for eq in report.equilibria] == [pytest.approx((0.5, 0.5, prefers))]
+
+    def test_excluded_supports_hold_no_equilibrium(self):
+        # the reference tracks every support and finds the same equilibria
+        rng = np.random.default_rng(19)
+        games = [random_generic_game(m, rng) for m in [3] * 24 + [4] * 18 + [5] * 8]
+        games.append(random_generic_game(3, np.random.default_rng(6153263537864010520)))
+        excluded = 0
+        for game in games:
+            report, reference = solve_all(game), solve_all_tracking_every_support(game)
+            assert report.face_census == reference.face_census
+            found, expected = report.equilibria, reference.equilibria
+            match_sets([e.gamma for e in found], [e.gamma for e in expected], 1e-12)
+            assert reference.stats["excluded"] == 0
+            assert report.stats["starts"] + report.stats["excluded"] == reference.stats["starts"]
+            assert report.stats["degenerate_supports"] == reference.stats["degenerate_supports"]
+            excluded += report.stats["excluded"]
+        assert excluded > 0
+
+
+WORK_KEYS = ("starts", "excluded", "steps", "rejected")
+
+
+class TestWork:
+    """Accepted and rejected tracking rounds, summed over the paths.
+
+    The counts are exact, so a change in solver work shows here even when
+    wall time is too noisy to show it.
+    """
+
+    @pytest.fixture
+    def solve_m5_games(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workload = importlib.import_module("workloads").SolveWorkload()
+        return [game for _, game in workload.generate(1)]
+
+    def test_counts_on_the_benchmark_games(self, solve_m5_games):
+        # perfbench's solve-m5 games at seed 1: maximal_game(5), a random
+        # product game and a random generic game, three times over
+        solved = {}
+        for game in solve_m5_games:
+            if id(game) not in solved:
+                stats = solve_all(game).stats
+                solved[id(game)] = tuple(stats[k] for k in WORK_KEYS)
+        work = [solved[id(game)] for game in solve_m5_games]
+        assert work == [
+            (294, 0, 10470, 1228),
+            (294, 0, 11504, 1451),
+            (199, 95, 9698, 1018),
+            (294, 0, 10470, 1228),
+            (294, 0, 11250, 1301),
+            (208, 86, 9533, 896),
+            (294, 0, 10470, 1228),
+            (294, 0, 10978, 1397),
+            (201, 93, 9001, 809),
+        ]
+        # Tracking every support, and with a step controller that aimed the
+        # first correction at tol / 2 and at least halved a rejected step,
+        # these games took 121,795 rounds, 27,907 of them rejected.
+        rounds, rejected = sum(w[2] + w[3] for w in work), sum(w[3] for w in work)
+        assert rounds <= 0.9 * 121_795
+        assert rejected <= 27_907 / 2
 
 
 class TestDeformation:
