@@ -359,15 +359,18 @@ class ProductTwoActionGame:
         ctuple = CharacteristicTuple(v=tuple(v), sigma=sigma)
         coeffs = CoefficientMatrix.from_dict(m, _json_field(product, "a", dict, "product.a"))
         game = cls(ctuple, coeffs)
-        # Sanity: the stored tensor must match the rebuilt one.  A file as
+        # Sanity: the stored tensor must match the rebuilt one.  Its shape is
+        # checked before the m 2^m canonical texts are built.  A file as
         # save_game writes it equals the canonical text in one comparison;
         # otherwise a stored entry is parsed when it is not spelled canonically.
         stored = _json_field(data, "utilities", list)
+        if len(stored) != m or any(type(t) is not list or len(t) != 2**m for t in stored):
+            raise ValueError(f"key 'utilities': must hold {m} lists of {2**m} entries")
         texts = game._tensor_texts()
         if stored == texts:
             return game
         try:
-            agrees = [len(t) for t in stored] == [len(t) for t in texts] and all(
+            agrees = all(
                 text == canonical
                 or type(text) is not bool and Fraction(text) == Fraction(canonical)
                 for row, canonical_row in zip(stored, texts)

@@ -179,6 +179,3 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     cand = [int(n) << k for k, n in enumerate(perms)]
     eq = [int(perms[0])] + [int(n) << (k - 1) for k, n in enumerate(passing) if k]
     return cand, eq
-
-
-__all__ = ["census_increment", "KERNEL"]

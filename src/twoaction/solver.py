@@ -118,12 +118,6 @@ class SupportProfile:
     def face_class(self) -> int:
         return self.m - len(self.free_players)
 
-    def fixed_gamma(self) -> np.ndarray:
-        """Coordinate vector with boundary values filled in and 0.5 placeholders."""
-        return np.array(
-            [0.0 if k == ZERO else 1.0 if k == ONE else 0.5 for k in self.kinds]
-        )
-
 
 def all_supports(m: int):
     for kinds in itertools.product((ZERO, ONE, FREE), repeat=m):
@@ -241,29 +235,14 @@ def _monomials(x: np.ndarray) -> np.ndarray:
     return np.where(_bit_tables(x.shape[1])[0], x.T[:, :, None], 1).prod(axis=0)
 
 
-def _gather(M: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """M[:, columns] of the monomials M, with column 2^r zero."""
-    padded = np.concatenate((M, np.zeros((len(M), 1), dtype=M.dtype)), axis=1)
-    return padded[:, columns]
-
-
-def _gradients(M: np.ndarray) -> np.ndarray:
-    """dM of shape (P, r, 2^r): dM[:, k] holds the monomials' derivatives by x_k.
+def _linearized(C: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian C . dM^T, by x, and the values C . M, as a column, in one matmul.
 
     d/dx_k of the monomial S is the monomial S without k if k is in S, else
-    0, so dM is one gather from M; its transpose is contiguous.
+    0, so dM^T and M are one gather from M with a zero column appended.
     """
-    return _gather(M, _bit_tables(M.shape[1].bit_length() - 1)[1][:, :-1]).transpose(0, 2, 1)
-
-
-def _jacobian(C: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Jacobian C . dM^T, by x, of the systems with coefficients C at monomials M."""
-    return C @ _gradients(M).transpose(0, 2, 1)
-
-
-def _linearized(C: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobian C . dM^T and the values C . M, as a column, in one matmul."""
-    both = C @ _gather(M, _bit_tables(M.shape[1].bit_length() - 1)[1])
+    padded = np.concatenate((M, np.zeros((len(M), 1), dtype=M.dtype)), axis=1)
+    both = C @ padded[:, _bit_tables(M.shape[1].bit_length() - 1)[1]]
     return both[..., :-1], both[..., -1:]
 
 
@@ -328,7 +307,7 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     # the paths still moving and their state, compacted when one stops
     paths, dC, x, t = np.arange(n), target - start, x.copy(), np.zeros(n)
-    inverse = _inverse(_jacobian(start, _monomials(x)))
+    inverse = _inverse(_linearized(start, _monomials(x))[0])
     step, acc, rej = np.full(n, max_step), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     for _ in range(_MAX_ROUNDS):
         if not len(paths):
@@ -338,7 +317,7 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
         C1 = start + t1[:, None, None] * dC
         k1 = _step(inverse, dC, _monomials(x))
         M = _monomials(x + h[:, None] * k1)
-        k2 = _step(_inverse(_jacobian(C1, M)), dC, M)
+        k2 = _step(_inverse(_linearized(C1, M)[0]), dC, M)
         xp = x + (h / 2)[:, None] * (k1 + k2)
         J, values = _linearized(C1, _monomials(xp))
         chord = _inverse(J)
@@ -403,9 +382,8 @@ def _track_supports(target: np.ndarray, attempt: int):
     for s in range(n if d > 1 else 0):
         # a finite endpoint that an earlier path of the support also reached
         rows = np.flatnonzero(state[s] < _DIVERGED)
-        dist = np.zeros((len(rows), len(rows)))
-        for col in x[s, rows].T:
-            dist = np.maximum(dist, np.abs(col[:, None] - col[None, :]))
+        points = x[s, rows]
+        dist = np.abs(points[:, None] - points).max(axis=2)
         close = np.triu(dist <= _ENDPOINT_TOL * size[s, rows], k=1)
         state[s, rows[close.any(axis=0)]] = _FAILED
     return x, state, np.array([accepted.sum(), rejected.sum()])
@@ -467,20 +445,14 @@ def _solve_batch(
     unproven = residual > config.residual_tol * unit
     state[row[unproven], path[unproven]] = _FAILED
 
-    solutions: list[SolverEquilibrium] = []
-    for s, point, res, mar in zip(sup, points, residual, margin):
-        if res <= config.residual_tol * unit and mar >= _MARGIN_TOL * unit:
-            gamma = supports[s].fixed_gamma()
-            gamma[free[s]] = point
-            solutions.append(
-                SolverEquilibrium(
-                    gamma=tuple(float(g) for g in gamma),
-                    support=supports[s],
-                    residual=float(res),
-                    margin=float(mar),
-                    near_degenerate=bool(mar < _NEAR_DEGENERATE_TOL * unit),
-                )
-            )
+    keep = (residual <= config.residual_tol * unit) & (margin >= _MARGIN_TOL * unit)
+    # each point: its support's vertex, 1 at action 1, with the free coordinates filled in
+    gammas = (sign[sup] > 0).astype(float)
+    np.put_along_axis(gammas, free[sup], points, axis=1)
+    solutions = [
+        SolverEquilibrium(tuple(g), supports[s], res, mar, bool(mar < _NEAR_DEGENERATE_TOL * unit))
+        for s, g, res, mar in zip(*(a[keep].tolist() for a in (sup, gammas, residual, margin)))
+    ]
     # r = 0 tracks no path: its one state is the vertex candidate's
     paths = state if r >= 2 else state[:, :0]
     counts = np.bincount(paths.ravel(), minlength=len(PATH_STATES))
@@ -494,7 +466,13 @@ def _solve_batch(
     }
     stats.update(zip(PATH_STATES, counts.tolist()))
     stats["degenerate_supports"] = int(degenerate.sum())
-    return sorted(solutions, key=lambda eq: eq.gamma), stats
+    return solutions, stats
+
+
+def _report_order(eq: SolverEquilibrium) -> tuple:
+    """Equilibria are listed by face class, support, then coordinates rounded
+    to 9 decimals, so rounding noise in the solve cannot reorder them."""
+    return eq.face_class, eq.support.kinds, tuple(round(g, 9) for g in eq.gamma)
 
 
 def solve_support(
@@ -504,7 +482,8 @@ def solve_support(
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria whose support is exactly the given profile, plus its
     statistics, with the keys of ``solve_all``'s."""
-    return _solve_batch(_vertex_differences(game), _batch([support]), config)
+    solutions, stats = _solve_batch(_vertex_differences(game), _batch([support]), config)
+    return sorted(solutions, key=_report_order), stats
 
 
 @dataclass
@@ -563,14 +542,9 @@ def solve_all(
         mapper = pool.map if config.threads > 1 else map
         batches = list(mapper(lambda batch: _solve_batch(vertex, batch, config), _batches(m)))
 
-    equilibria = sorted(
-        itertools.chain.from_iterable(solutions for solutions, _ in batches),
-        key=lambda eq: eq.gamma,
-    )
+    equilibria = sorted((eq for solutions, _ in batches for eq in solutions), key=_report_order)
     totals = {key: sum(stats[key] for _, stats in batches) for key in batches[0][1]}
-    census = [0] * (m + 1)
-    for eq in equilibria:
-        census[eq.face_class] += 1
+    census = [sum(eq.face_class == l for eq in equilibria) for l in range(m + 1)]
     return SolverReport(m, config, equilibria, census, totals)
 
 
@@ -623,7 +597,8 @@ def verify_deformation(
     """
     from .candidate_engine import equilibria as exact_equilibria
 
-    baseline = [cand.gamma_floats() for cand in exact_equilibria(game, method="both")]
+    exact = [cand.gamma_floats() for cand in exact_equilibria(game, method="both")]
+    baseline = np.array(exact).reshape(-1, game.m)
     rng = np.random.default_rng(seed)
     trial_seeds = rng.integers(0, 2**63 - 1, size=trials)
 
@@ -638,20 +613,12 @@ def verify_deformation(
         totals.append(report.total)
         if report.total == len(baseline):
             stable += 1
-        tracked = True
-        for point in baseline:
-            drift = min(
-                (
-                    max(abs(a - b) for a, b in zip(point, eq.gamma))
-                    for eq in report.equilibria
-                ),
-                default=np.inf,
-            )
-            if drift > _TRACK_TOL:
-                tracked = False
-            else:
-                max_drift = max(max_drift, drift)
-        if not tracked:
+        # each baseline point's max-norm distance to its nearest found point
+        found = np.array([eq.gamma for eq in report.equilibria]).reshape(-1, game.m)
+        drift = np.abs(baseline[:, None] - found).max(axis=2).min(axis=1, initial=np.inf)
+        tracked = drift <= _TRACK_TOL
+        max_drift = max(max_drift, float(drift[tracked].max(initial=0.0)))
+        if not tracked.all():
             failures.append(t)
     return DeformationReport(
         m=game.m,

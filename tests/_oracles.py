@@ -21,6 +21,9 @@ tests read.
 ``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
 exclusion turned off: it tracks the paths of every support, so its
 equilibria show that no support the exclusion skips holds one.
+``deformation_drift`` measures ``verify_deformation``'s drift one baseline
+point and one found equilibrium at a time; the library takes one distance
+matrix a trial.
 
 ``enumerate_permutations`` and ``enumerate_candidates`` walk the candidates
 one at a time with ``itertools``, permutations in lexicographic order and a
@@ -201,6 +204,34 @@ def solve_all_tracking_every_support(
         return solver.solve_all(game, config)
     finally:
         solver._proven_empty = proven_empty
+
+
+def deformation_drift(baseline, trials) -> tuple[float, list[int], int]:
+    """``verify_deformation``'s ``max_drift``, ``tracking_failures`` and
+    ``stable_trials`` by a scalar loop over the baseline points ``baseline``
+    and the equilibria each trial found (``trials``, one list a trial).
+
+    A point's drift is its max-norm distance to the nearest found point.
+    """
+    failures: list[int] = []
+    stable = 0
+    max_drift = 0.0
+    for t, found in enumerate(trials):
+        if len(found) == len(baseline):
+            stable += 1
+        tracked = True
+        for point in baseline:
+            drift = min(
+                (max(abs(a - b) for a, b in zip(point, eq.gamma)) for eq in found),
+                default=np.inf,
+            )
+            if drift > solver._TRACK_TOL:
+                tracked = False
+            else:
+                max_drift = max(max_drift, drift)
+        if not tracked:
+            failures.append(t)
+    return max_drift, failures, stable
 
 
 def subfactorial_pair_recursion(n: int) -> int:

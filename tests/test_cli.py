@@ -29,6 +29,17 @@ def _maximal_m3_file(utility=None, coefficients=None, **product) -> str:
     return json.dumps(data).replace('"@"', utility)
 
 
+def _product_file_without_tensor(m: int) -> dict:
+    """maximal_game(m)'s file with ``"utilities": []``, written without the tensor."""
+    game = maximal_game(m)
+    product = {
+        "v": list(game.ctuple.v),
+        "sigma": [list(s.images) for s in game.ctuple.sigma],
+        "a": game.coeffs.to_dict(),
+    }
+    return {"m": m, "mode": "exact", "utilities": [], "product": product}
+
+
 # Game files with a value of the wrong type, a utility that is not a finite
 # number, or a coefficient key that is not an off-diagonal pair.  A str value
 # is the file's text, so that a number JSON cannot hold (1e400) can be written.
@@ -55,6 +66,8 @@ BAD_GAME_FILES = {
         "utilities": [],
         "product": {"v": [], "sigma": [], "a": {}},
     },
+    # a valid m = 16 product block: the tensor's shape is checked before its text is built
+    "empty-tensor-m16.json": _product_file_without_tensor(16),
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -419,6 +432,7 @@ class TestInputValidation:
             (["candidates", "zero-m-product.json"], "key 'm' must be positive, not 0"),
             (["solve", "zero-m-product.json"], "key 'm' must be positive, not 0"),
             (["deform", "zero-m-product.json"], "key 'm' must be positive, not 0"),
+            (["classify", "empty-tensor-m16.json"], "key 'utilities': must hold 16 lists of 65536"),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

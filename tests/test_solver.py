@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import lam_at_profile, solve_all_tracking_every_support
+from _oracles import deformation_drift, lam_at_profile, solve_all_tracking_every_support
 from twoaction.candidate_engine import census, equilibria
 from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
@@ -52,7 +52,10 @@ class TestSupportProfile:
         sp = SupportProfile(("zero", "free", "one"))
         assert sp.free_players == (2,)
         assert sp.face_class == 2
-        assert list(sp.fixed_gamma()) == [0.0, 0.5, 1.0]
+        # the solver reads the kinds as signs, and fills a point into the vertex sign > 0
+        sign = solver._batch([sp]).sign[0]
+        assert list(sign) == [-1, 0, 1]
+        assert list((sign > 0).astype(float)) == [0.0, 0.0, 1.0]
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -133,6 +136,20 @@ class TestSolveAll:
             assert scaled.face_census == base.face_census
             assert scaled.stats["failed"] == base.stats["failed"] == 0
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_order_is_a_property_of_the_game(self, m, monkeypatch):
+        # a tighter tracking tolerance moves the points by rounding noise,
+        # which must not reorder the equilibria
+        games = [maximal_game(m), random_generic_game(m, np.random.default_rng(m))]
+        for game in games:
+            default = solve_all(game).equilibria
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_CORRECTOR_TOL", 5e-4)
+                tighter = solve_all(game).equilibria
+            assert [e.support for e in tighter] == [e.support for e in default]
+            gammas = [e.gamma for e in tighter], [e.gamma for e in default]
+            assert np.abs(np.subtract(*gammas)).max() < 1e-12
+
     def test_threads_give_same_answer(self):
         game = maximal_game(3)
         one = solve_all(game)
@@ -157,7 +174,8 @@ class TestHomotopy:
         rng = np.random.default_rng(4)
         for sp in all_supports(4):
             free0 = [i - 1 for i in sp.free_players]
-            at_vertices = solver._face_values(vertex, solver._batch([sp]))
+            batch = solver._batch([sp])
+            at_vertices = solver._face_values(vertex, batch)
             coeffs = solver._moebius(at_vertices)[0]
             # the vertices of the face, then points off it
             corners = np.array(list(itertools.product((0.0, 1.0), repeat=len(free0))))
@@ -165,7 +183,7 @@ class TestHomotopy:
             x = rng.uniform(-1, 2, size=(3, len(free0)))
             M = solver._monomials(x)
             for point, values in zip(x, M @ coeffs.T):
-                gamma = sp.fixed_gamma()
+                gamma = (batch.sign[0] > 0).astype(float)
                 gamma[free0] = point
                 lams = [lam_at_profile(game, i, gamma) for i in range(1, 5)]
                 assert np.allclose(values, lams)
@@ -181,7 +199,7 @@ class TestHomotopy:
         for r in range(1, 7):
             x = rng.uniform(-2, 2, size=(4, r)) + 1j * rng.uniform(-1, 1, size=(4, r))
             M = solver._monomials(x)
-            dM = solver._gradients(M)
+            dM = solver._linearized(np.eye(2**r), M)[0].transpose(0, 2, 1)
             assert dM.shape == (4, r, 2**r)
             # bit masks with the first player most significant
             members = [[j for j in range(r) if S >> (r - 1 - j) & 1] for S in range(2**r)]
@@ -195,7 +213,7 @@ class TestHomotopy:
         # F = (x2 - 1, x1 - 2) has an invertible Jacobian; F = (x2, 0) does not
         C = np.array([[[-1.0, 1, 0, 0], [-2, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 0]]])
         M = solver._monomials(np.zeros((2, 2)))
-        inverse = solver._inverse(solver._jacobian(C, M))
+        inverse = solver._inverse(solver._linearized(C, M)[0])
         step = solver._step(inverse, C, M)
         assert np.allclose(step[0], [2, 1])
         assert np.isnan(inverse[1]).all() and np.isnan(step[1]).all()
@@ -223,7 +241,7 @@ class TestHomotopy:
         coeffs, roots = solver._start_system(r)
         assert len(roots) == subfactorial(r)
         M = solver._monomials(roots)
-        dM = solver._gradients(M)
+        dM = solver._linearized(np.eye(2**r), M)[0].transpose(0, 2, 1)
         assert np.abs(M @ coeffs.T).max() < 1e-12
         # every start root is regular, so every path starts well defined
         jac = np.einsum("is,pks->pik", coeffs, dM)
@@ -293,7 +311,7 @@ class TestPathAccounting:
         single = []
         for sp in all_supports(3):
             single += solve_support(game, sp)[0]
-        assert sorted(eq.gamma for eq in single) == [eq.gamma for eq in report.equilibria]
+        assert sorted(eq.gamma for eq in single) == sorted(eq.gamma for eq in report.equilibria)
 
     def test_support_stats_add_up_to_solve_all(self):
         game = random_generic_game(4, np.random.default_rng(0))
@@ -398,6 +416,22 @@ class TestDeformation:
         # epsilon far beyond the stability radius must not silently pass
         report = verify_deformation(maximal_game(2), 5.0, trials=4, seed=1)
         assert not report.all_stable
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("epsilon", [1e-3, 5.0])
+    def test_drift_matches_the_scalar_oracle(self, m, epsilon, monkeypatch):
+        # the trials' reports, as verify_deformation reads them
+        reports = []
+        solve = solver.solve_all
+        monkeypatch.setattr(
+            solver, "solve_all", lambda game, config: reports.append(solve(game, config)) or reports[-1]
+        )
+        report = verify_deformation(maximal_game(m), epsilon, trials=4, seed=1)
+        baseline = [cand.gamma_floats() for cand in equilibria(maximal_game(m), method="both")]
+        expected = deformation_drift(baseline, [r.equilibria for r in reports])
+        assert (report.max_drift, report.tracking_failures, report.stable_trials) == expected
+        if epsilon > 1:
+            assert report.tracking_failures
 
     def test_serializes(self):
         import json
