@@ -7,9 +7,9 @@ it, so any run can be reproduced from its own output.
 ``SUBCOMMANDS`` lists each subcommand once.  A call builds the subparser of
 the subcommand it names alone, and all of them when it names none, so help,
 usage and error lines read as if every subcommand were built.  Game files
-are written and checked through ``game_model``: every tensor entry is its
-canonical ``n/d`` text, zeros "0/1", and a stored tensor equal to that text
-is accepted in one comparison.
+are written and checked through ``game_model``: a product game's file holds
+its product block alone, and a payoff tensor that an older file still holds
+must equal the one that block gives.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def cmd_table(args) -> int:
 
 def cmd_construct(args) -> int:
     m = args.m
-    bits = args.v or "0" * m
+    bits = "0" * m if args.v is None else args.v
     if not re.fullmatch(f"[01]{{{m}}}", bits):
         raise UsageError(f"--v must be a bit string of length {m}")
     v = tuple(int(b) for b in bits)

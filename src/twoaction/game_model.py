@@ -66,14 +66,18 @@ class TwoActionGame:
     @classmethod
     def from_dict(cls, data: Mapping) -> "TwoActionGame":
         m = _json_field(data, "m", int)
+        if m < 1:
+            raise ValueError(f"key 'm' must be positive, not {m}")
         mode = _json_field(data, "mode", str)
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"key 'mode' must be {EXACT!r} or {FLOAT!r}, not {mode!r}")
         cast = Fraction if mode == EXACT else float
+        stored = _json_field(data, "utilities", list)
+        # the shape is checked before any entry is parsed
+        if len(stored) != m or any(type(t) is not list or len(t) != 2**m for t in stored):
+            raise ValueError(f"key 'utilities': must hold {m} lists of {2**m} entries")
         tables = []
-        for i, texts in enumerate(_json_field(data, "utilities", list)):
-            if not isinstance(texts, list):
-                raise ValueError(f"key 'utilities[{i}]' must be a list, not {_json_type(texts)}")
+        for i, texts in enumerate(stored):
             table = []
             for k, text in enumerate(texts):
                 try:
@@ -312,25 +316,11 @@ class ProductTwoActionGame:
         tables = [[Fraction(x, denominator) if x else zero for x in t] for t in numerators]
         return TwoActionGame(self.m, tables, mode=EXACT)
 
-    def _tensor_texts(self) -> list[list[str]]:
-        """Every tensor entry in canonical ``n/d`` text, as ``tensor.to_dict()``
-        spells it, computed from the integer numerators without a Fraction.
-
-        Half the entries are the zeros of action 0, written "0/1" without a gcd.
-        """
-        numerators, denominator = self._utility_numerators()
-        gcd = math.gcd
-        return [
-            [f"{x // (g := gcd(x, denominator))}/{denominator // g}" if x else "0/1" for x in t]
-            for t in numerators
-        ]
-
     def to_dict(self) -> dict:
-        """The tensor in canonical ``n/d`` text and the product block."""
+        """The product block: the tensor follows from it, so it is not stored."""
         return {
             "m": self.m,
             "mode": EXACT,
-            "utilities": self._tensor_texts(),
             "product": {
                 "v": list(self.ctuple.v),
                 "sigma": [list(s.images) for s in self.ctuple.sigma],
@@ -359,26 +349,11 @@ class ProductTwoActionGame:
         ctuple = CharacteristicTuple(v=tuple(v), sigma=sigma)
         coeffs = CoefficientMatrix.from_dict(m, _json_field(product, "a", dict, "product.a"))
         game = cls(ctuple, coeffs)
-        # Sanity: the stored tensor must match the rebuilt one.  Its shape is
-        # checked before the m 2^m canonical texts are built.  A file as
-        # save_game writes it equals the canonical text in one comparison;
-        # otherwise a stored entry is parsed when it is not spelled canonically.
-        stored = _json_field(data, "utilities", list)
-        if len(stored) != m or any(type(t) is not list or len(t) != 2**m for t in stored):
-            raise ValueError(f"key 'utilities': must hold {m} lists of {2**m} entries")
-        texts = game._tensor_texts()
-        if stored == texts:
-            return game
-        try:
-            agrees = all(
-                text == canonical
-                or type(text) is not bool and Fraction(text) == Fraction(canonical)
-                for row, canonical_row in zip(stored, texts)
-                for text, canonical in zip(row, canonical_row)
-            )
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"key 'utilities': {exc}") from None
-        if not agrees:
+        # a file written before product files dropped the tensor still holds
+        # one: it must be the tensor that the product block gives
+        if "utilities" in data and (
+            TwoActionGame.from_dict(data).utilities != game.tensor.utilities
+        ):
             raise ValueError("stored tensor disagrees with the product block")
         return game
 
@@ -423,35 +398,8 @@ def perturb(game: TwoActionGame | ProductTwoActionGame, epsilon: float, seed: in
     return TwoActionGame(base.m, tables, mode=FLOAT)
 
 
-# One item a line: JSON escapes a newline inside a string, so each raw
-# newline of its output is a separator.
-_ITEM_LINES = json.JSONEncoder(separators=(",\n", ": "))
-
-
-def _indented_json(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=1)`` of dicts with string keys, lists and scalars.
-
-    ``indent`` turns the standard library's C encoder off, so each non-empty
-    dict or list of scalars is C-encoded one item a line, and the
-    indentation is spliced in after each newline.
-    """
-    if type(value) not in (dict, list) or not value:
-        return json.dumps(value)
-    pad = "\n" + " " * (depth + 1)
-    items = value.values() if type(value) is dict else value
-    if set(map(type, items)).isdisjoint((dict, list)):
-        text = _ITEM_LINES.encode(value)
-        return text[0] + pad + text[1:-1].replace("\n", pad) + pad[:-1] + text[-1]
-    if type(value) is dict:
-        items = [json.dumps(k) + ": " + _indented_json(v, depth + 1) for k, v in value.items()]
-    else:
-        items = [_indented_json(item, depth + 1) for item in value]
-    brackets = "{}" if type(value) is dict else "[]"
-    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
-
-
 def save_game(game: TwoActionGame | ProductTwoActionGame, path) -> None:
-    text = _indented_json(game.to_dict()) + "\n"
+    text = json.dumps(game.to_dict(), indent=1) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

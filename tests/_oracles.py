@@ -4,13 +4,15 @@ Nothing in the library uses these; the tests compare the library against
 them.  The counting routes use other formulas than ``combinatorics``, and
 ``materialize_per_entry`` builds a product game's payoff tensor one entry at
 a time in Fraction arithmetic, where ``ProductTwoActionGame.tensor`` works in
-integers over one common denominator.  ``increment``,
-``classify_by_increment`` and ``classify_by_sign`` classify one candidate
-object at a time, the sign route through the ``Fraction`` value of
-``lam_factored``; the library classifies whole blocks of candidates through
-integer masks.  ``boundary_value`` and ``zero_count`` read a candidate's
-boundary assignment for the scalar increment.  ``verify_block_swap_tables``
-checks the case tables behind the maximal game's orderings.
+integers over one common denominator.  ``file_with_tensor`` is a product
+game's file in the older format that also stores the tensor, which loading
+still checks.  ``increment``, ``classify_by_increment`` and
+``classify_by_sign`` classify one candidate object at a time, the sign
+route through the ``Fraction`` value of ``lam_factored``; the library
+classifies whole blocks of candidates through integer masks.
+``boundary_value`` and ``zero_count`` read a candidate's boundary assignment
+for the scalar increment.  ``verify_block_swap_tables`` checks the case
+tables behind the maximal game's orderings.
 
 ``payoff``, ``lam`` and ``lam_at_profile`` evaluate a game's multilinear
 extension entry by entry, ``utility`` reads one pure profile through
@@ -297,6 +299,14 @@ def materialize_per_entry(game) -> TwoActionGame:
             table.append(value)
         tables.append(table)
     return TwoActionGame(m, tables, mode=EXACT)
+
+
+def file_with_tensor(game: ProductTwoActionGame) -> dict:
+    """``game.to_dict()`` with the exact payoff tensor under ``utilities``,
+    keys in the order the older files have them."""
+    data = game.to_dict()
+    product = data.pop("product")
+    return {**data, "utilities": game.tensor.to_dict()["utilities"], "product": product}
 
 
 def boundary_value(cand: EquilibriumCandidate, i: int) -> int:

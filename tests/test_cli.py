@@ -9,35 +9,26 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import enumerate_candidates
+from _oracles import enumerate_candidates, file_with_tensor
 from twoaction import candidate_engine, solver
 from twoaction.cli import build_parser, main, parse_permutation
 from twoaction.combinatorics import Permutation
-from twoaction.game_model import maximal_game, save_game
+from twoaction.game_model import load_game, maximal_game, save_game
 
 
 def _maximal_m3_file(utility=None, coefficients=None, **product) -> str:
-    """The text of maximal_game(3)'s file, with utilities[0][0] spelled as the
-    JSON text ``utility``, ``coefficients`` added to the product block and
-    its other keys replaced by ``product``."""
-    data = maximal_game(3).to_dict()
+    """The text of maximal_game(3)'s file, with ``coefficients`` added to the
+    product block and its other keys replaced by ``product``; given
+    ``utility``, the file stores the tensor, utilities[0][0] spelled as the
+    JSON text ``utility``."""
+    game = maximal_game(3)
+    data = game.to_dict() if utility is None else file_with_tensor(game)
     data["product"]["a"].update(coefficients or {})
     data["product"].update(product)
     if utility is None:
         return json.dumps(data)
     data["utilities"][0][0] = "@"
     return json.dumps(data).replace('"@"', utility)
-
-
-def _product_file_without_tensor(m: int) -> dict:
-    """maximal_game(m)'s file with ``"utilities": []``, written without the tensor."""
-    game = maximal_game(m)
-    product = {
-        "v": list(game.ctuple.v),
-        "sigma": [list(s.images) for s in game.ctuple.sigma],
-        "a": game.coeffs.to_dict(),
-    }
-    return {"m": m, "mode": "exact", "utilities": [], "product": product}
 
 
 # Game files with a value of the wrong type, a utility that is not a finite
@@ -56,7 +47,7 @@ BAD_GAME_FILES = {
     "huge-product-utility.json": _maximal_m3_file(utility="1e400"),
     "bool-product-utility.json": _maximal_m3_file(utility="false"),
     "stray-coefficient.json": _maximal_m3_file(coefficients={"1,9": "1/2", "2,2": "1/3"}),
-    # the tensor is maximal_game(3)'s, so only the types are wrong
+    # the product block is maximal_game(3)'s, so only the types are wrong
     "bool-v.json": _maximal_m3_file(v=[False, False, False]),
     "float-v.json": _maximal_m3_file(v=[0.0, 0, 0]),
     "float-sigma.json": _maximal_m3_file(sigma=[[1.0, 2.0, 3.0], [3, 2, 1], [1, 2, 3]]),
@@ -66,8 +57,9 @@ BAD_GAME_FILES = {
         "utilities": [],
         "product": {"v": [], "sigma": [], "a": {}},
     },
-    # a valid m = 16 product block: the tensor's shape is checked before its text is built
-    "empty-tensor-m16.json": _product_file_without_tensor(16),
+    # a valid m = 16 product block: the stored tensor's shape is checked
+    # before the tensor is built
+    "empty-tensor-m16.json": {**maximal_game(16).to_dict(), "utilities": []},
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -184,6 +176,13 @@ class TestConstructClassifySolve:
         assert main(["classify", str(game), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["total_equilibria"] % 2 == 1
+
+    def test_construct_m16_writes_no_tensor(self, tmp_path, capsys):
+        # the tensor, 16 tables of 65536 entries, is neither written nor built
+        game = tmp_path / "g16.json"
+        assert main(["construct", "--m", "16", "--out", str(game)]) == 0
+        assert game.stat().st_size < 16 * 1024
+        assert "tensor" not in vars(load_game(game))
 
     def test_candidates_listing(self, tmp_path, capsys):
         game = tmp_path / "g2.json"
@@ -403,8 +402,8 @@ class TestInputValidation:
             (["solve", "huge-utility.json"], "key 'utilities[0][3]': inf is not a finite number"),
             (["solve", "bool-utility.json"], "key 'utilities[0][3]': must be a number or a string"),
             (["solve", "huge-exact-utility.json"], "key 'utilities[0][1]': cannot convert"),
-            (["classify", "huge-product-utility.json"], "key 'utilities': cannot convert"),
-            (["classify", "bool-product-utility.json"], "stored tensor disagrees"),
+            (["classify", "huge-product-utility.json"], "key 'utilities[0][0]': cannot convert"),
+            (["classify", "bool-product-utility.json"], "key 'utilities[0][0]': must be a number"),
             (["classify", "stray-coefficient.json"], "coefficient key '1,9': not an off-diagonal"),
             (["classify", "bool-v.json"], "key 'product.v': must hold integers, not a boolean"),
             (["classify", "float-v.json"], "key 'product.v': must hold integers, not a number"),
@@ -433,6 +432,10 @@ class TestInputValidation:
             (["solve", "zero-m-product.json"], "key 'm' must be positive, not 0"),
             (["deform", "zero-m-product.json"], "key 'm' must be positive, not 0"),
             (["classify", "empty-tensor-m16.json"], "key 'utilities': must hold 16 lists of 65536"),
+            (
+                ["construct", "--m", "3", "--v", "", "--out", "g.json"],
+                "--v must be a bit string of length 3",
+            ),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

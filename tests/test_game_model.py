@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import (
+    file_with_tensor,
     lam,
     lam_at_profile,
     lam_factored,
@@ -328,7 +329,7 @@ class TestPerturbAndSerialization:
         assert loaded.utilities == game.utilities
 
     def test_exact_fractions_survive_json(self, tmp_path):
-        game = maximal_game(3)
+        game = maximal_game(3).tensor
         path = tmp_path / "game.json"
         save_game(game, path)
         data = json.loads(path.read_text())
@@ -338,42 +339,28 @@ class TestPerturbAndSerialization:
             isinstance(u, str) for table in data["utilities"] for u in table
         )
 
-    def test_product_text_is_the_tensor_text(self, random_product_game):
-        # to_dict writes n/d from integer products; it must spell every entry
-        # as the Fraction tensor does, including 0 and negative entries
-        rng = random.Random(12)
-        games = [maximal_game(m) for m in range(1, 6)]
-        games += [random_product_game(rng.randint(1, 5), rng) for _ in range(10)]
-        for game in games:
-            assert game.to_dict()["utilities"] == game.tensor.to_dict()["utilities"]
-
     def test_tampered_tensor_rejected(self, tmp_path):
-        game = maximal_game(2)
-        path = tmp_path / "game.json"
-        save_game(game, path)
-        data = json.loads(path.read_text())
+        data = file_with_tensor(maximal_game(2))
         data["utilities"][0][-1] = "9/1"
+        path = tmp_path / "game.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_game(path)
 
     @pytest.mark.parametrize("text", ["1/3", "2/6", "-5/7", "0.5", "abc"])
     def test_one_altered_entry_rejected(self, tmp_path, text):
-        # the stored string is parsed only when it is not canonical, so an
-        # altered value must fail in either spelling, and garbage must too
-        game = maximal_game(3)
-        path = tmp_path / "game.json"
-        save_game(game, path)
-        data = json.loads(path.read_text())
+        # an altered value must fail in either spelling, and garbage must too
+        data = file_with_tensor(maximal_game(3))
         assert data["utilities"][2][5] == "-9/16"
         data["utilities"][2][5] = text
+        path = tmp_path / "game.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_game(path)
 
     def test_saved_file_is_the_indented_json(self, tmp_path, random_product_game):
         # pins the game file byte for byte: one-space indented JSON of to_dict
-        # and a newline, zeros spelled "0/1"; it loads back to an equal tensor
+        # and a newline
         rng = random.Random(77)
         games = [maximal_game(m) for m in range(1, 8)]
         games += [random_product_game(rng.randint(1, 7), rng) for _ in range(6)]
@@ -381,8 +368,23 @@ class TestPerturbAndSerialization:
         for game in games:
             save_game(game, path)
             assert path.read_text() == json.dumps(game.to_dict(), indent=1) + "\n"
-            assert "0/1" in game.to_dict()["utilities"][0]
-            assert load_game(path).tensor.utilities == game.tensor.utilities
+
+    def test_product_file_round_trips(self, tmp_path, random_product_game):
+        # the file holds the product block alone and loads to an equal game,
+        # as does a file in the older format that also stores the tensor
+        rng = random.Random(79)
+        games = [maximal_game(m) for m in range(1, 8)]
+        games += [random_product_game(rng.randint(1, 7), rng) for _ in range(6)]
+        path, older = tmp_path / "game.json", tmp_path / "older.json"
+        for game in games:
+            save_game(game, path)
+            assert set(json.loads(path.read_text())) == {"m", "mode", "product"}
+            assert "tensor" not in vars(load_game(path))
+            older.write_text(json.dumps(file_with_tensor(game)))
+            for loaded in (load_game(path), load_game(older)):
+                assert loaded.ctuple == game.ctuple
+                assert loaded.coeffs.values == game.coeffs.values
+                assert loaded.tensor.utilities == game.tensor.utilities
 
     def test_saved_float_file_is_the_indented_json(self, tmp_path):
         # float games go through the same writer: shortest round-trip reprs,
@@ -399,13 +401,12 @@ class TestPerturbAndSerialization:
 
     def test_noncanonical_spelling_loads(self, tmp_path):
         game = maximal_game(3)
-        path = tmp_path / "game.json"
-        save_game(game, path)
-        data = json.loads(path.read_text())
+        data = file_with_tensor(game)
         for table in data["utilities"]:
             for k, text in enumerate(table):
                 value = Fraction(text)
                 table[k] = "0" if not value else f"{2 * value.numerator}/{2 * value.denominator}"
+        path = tmp_path / "game.json"
         path.write_text(json.dumps(data))
         loaded = load_game(path)
         assert loaded.tensor.utilities == game.tensor.utilities
@@ -422,11 +423,11 @@ class TestPerturbAndSerialization:
             (("product", "a"), [], "key 'product.a' must be an object, not a list"),
             (("product", "a", "1,2"), None, "coefficient key '1,2': "),
             (("utilities", 0), 5, "key 'utilities': "),
-            (("utilities", 0, 0), None, "key 'utilities': "),
+            (("utilities", 0, 0), None, "key 'utilities[0][0]': "),
         ],
     )
     def test_wrong_json_type_names_the_key(self, tmp_path, keys, value, message):
-        data = maximal_game(3).to_dict()
+        data = file_with_tensor(maximal_game(3))
         target = data
         for key in keys[:-1]:
             target = target[key]
@@ -454,11 +455,9 @@ class TestPerturbAndSerialization:
             ProductTwoActionGame.from_dict(data)
 
     def test_wrong_table_size_rejected(self, tmp_path):
-        game = maximal_game(2)
-        path = tmp_path / "game.json"
-        save_game(game, path)
-        data = json.loads(path.read_text())
+        data = file_with_tensor(maximal_game(2))
         data["utilities"][1].append("0/1")
+        path = tmp_path / "game.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError):
             load_game(path)
