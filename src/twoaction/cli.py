@@ -222,7 +222,7 @@ def cmd_classify(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(residual_tol=args.residual_tol, threads=args.threads)
+    return SolverConfig(threads=args.threads)
 
 
 def cmd_solve(args) -> int:
@@ -310,10 +310,7 @@ _GAME = ("game", {})
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 _FORMAT_CSV = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
 _OUT = ("--out", {"default": None, "help": "output path (default stdout)"})
-_SOLVER = (
-    ("--residual-tol", {"type": positive_float, "default": 1e-10}),
-    ("--threads", {"type": positive_int, "default": 1}),
-)
+_SOLVER = (("--threads", {"type": positive_int, "default": 1}),)
 
 
 def _trial_flags(default_trials: int) -> tuple:

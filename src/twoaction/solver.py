@@ -87,9 +87,10 @@ _INFINITY = 1e8
 # below it, an endpoint is real when its imaginary parts are below it, and
 # two endpoints closer than it are the same point.
 _ENDPOINT_TOL = 1e-8
-# An equilibrium's boundary players must prefer their action by at least
-# _MARGIN_TOL; below _NEAR_DEGENERATE_TOL it is flagged near-degenerate.  Both,
-# like SolverConfig.residual_tol, are in units of the largest payoff difference.
+# An equilibrium's free players are indifferent within _RESIDUAL_TOL, and its
+# boundary players prefer their action by at least _MARGIN_TOL (near-degenerate
+# below _NEAR_DEGENERATE_TOL), all in units of the largest payoff difference.
+_RESIDUAL_TOL = 1e-10
 _MARGIN_TOL = 1e-12
 _NEAR_DEGENERATE_TOL = 1e-8
 
@@ -126,7 +127,6 @@ def all_supports(m: int):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    residual_tol: float = 1e-10
     threads: int = 1
 
 
@@ -379,13 +379,13 @@ def _track_supports(target: np.ndarray, attempt: int):
         np.where(((x.real > 0) & (x.real < 1)).all(axis=1), _INTERIOR, _EXTERIOR),
     ).reshape(n, d)
     x, size = x.reshape(n, d, r), size.reshape(n, d)
-    for s in range(n if d > 1 else 0):
-        # a finite endpoint that an earlier path of the support also reached
-        rows = np.flatnonzero(state[s] < _DIVERGED)
-        points = x[s, rows]
-        dist = np.abs(points[:, None] - points).max(axis=2)
-        close = np.triu(dist <= _ENDPOINT_TOL * size[s, rows], k=1)
-        state[s, rows[close.any(axis=0)]] = _FAILED
+    # a finite endpoint that an earlier path of the same support also reached,
+    # compared one coordinate at a time so no (d, d, r) temporary is built
+    finite = state < _DIVERGED
+    close = np.triu(np.ones((d, d), dtype=bool), k=1) & finite[:, :, None] & finite[:, None, :]
+    for k in range(r):
+        close &= np.abs(x[:, :, None, k] - x[:, None, :, k]) <= _ENDPOINT_TOL * size[:, None, :]
+    state[close.any(axis=1)] = _FAILED
     return x, state, np.array([accepted.sum(), rejected.sum()])
 
 
@@ -405,9 +405,7 @@ def _proven_empty(values: np.ndarray, batch: _Batch, residual: float, margin: fl
     return one_sign | losing
 
 
-def _solve_batch(
-    vertex: np.ndarray, batch: _Batch, config: SolverConfig
-) -> tuple[list[SolverEquilibrium], dict]:
+def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria and statistics (``solve_all``'s keys) of supports with the same r."""
     supports, free, sign = batch.supports, batch.free, batch.sign
     (n, r), unit = free.shape, np.abs(vertex).max() or 1.0
@@ -422,12 +420,12 @@ def _solve_batch(
         # The single equation does not involve the free coordinate: it either
         # fails (generic) or degenerates to a continuum, reported but never
         # counted.
-        degenerate = np.abs(own[:, 0, 0]) <= config.residual_tol * unit
+        degenerate = np.abs(own[:, 0, 0]) <= _RESIDUAL_TOL * unit
     elif r >= 2:
         scale = np.abs(own).max(axis=2)
         degenerate = (scale == 0).any(axis=1)
         target = own / np.where(scale == 0, 1.0, scale)[..., None]
-        empty = _proven_empty(at_vertices, batch, config.residual_tol * unit, _MARGIN_TOL * unit)
+        empty = _proven_empty(at_vertices, batch, _RESIDUAL_TOL * unit, _MARGIN_TOL * unit)
         tracked = np.flatnonzero(~empty)
         with np.errstate(all="ignore"):
             x, state, work = _track_supports(target[tracked], 0)
@@ -442,10 +440,10 @@ def _solve_batch(
     values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points))
     residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
     margin = np.where(sign[sup] != 0, sign[sup] * values, np.inf).min(axis=1, initial=np.inf)
-    unproven = residual > config.residual_tol * unit
+    unproven = residual > _RESIDUAL_TOL * unit
     state[row[unproven], path[unproven]] = _FAILED
 
-    keep = (residual <= config.residual_tol * unit) & (margin >= _MARGIN_TOL * unit)
+    keep = (residual <= _RESIDUAL_TOL * unit) & (margin >= _MARGIN_TOL * unit)
     # each point: its support's vertex, 1 at action 1, with the free coordinates filled in
     gammas = (sign[sup] > 0).astype(float)
     np.put_along_axis(gammas, free[sup], points, axis=1)
@@ -481,8 +479,9 @@ def solve_support(
     config: SolverConfig = SolverConfig(),
 ) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria whose support is exactly the given profile, plus its
-    statistics, with the keys of ``solve_all``'s."""
-    solutions, stats = _solve_batch(_vertex_differences(game), _batch([support]), config)
+    statistics, with the keys of ``solve_all``'s.  ``config`` is not read:
+    one support is one batch, solved on the calling thread."""
+    solutions, stats = _solve_batch(_vertex_differences(game), _batch([support]))
     return sorted(solutions, key=_report_order), stats
 
 
@@ -540,7 +539,7 @@ def solve_all(
     # threads; the pool starts no thread unless it is handed work
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         mapper = pool.map if config.threads > 1 else map
-        batches = list(mapper(lambda batch: _solve_batch(vertex, batch, config), _batches(m)))
+        batches = list(mapper(lambda batch: _solve_batch(vertex, batch), _batches(m)))
 
     equilibria = sorted((eq for solutions, _ in batches for eq in solutions), key=_report_order)
     totals = {key: sum(stats[key] for _, stats in batches) for key in batches[0][1]}
@@ -549,11 +548,6 @@ def solve_all(
 
 
 # -- deformation stability ---------------------------------------------------
-
-# A baseline equilibrium with no perturbed equilibrium this close (max norm)
-# is a tracking failure.
-_TRACK_TOL = 0.05
-
 
 @dataclass
 class DeformationReport:
@@ -590,15 +584,22 @@ def verify_deformation(
     """Perturb the game repeatedly and check the equilibrium count is stable.
 
     Each trial solves the perturbed game from scratch (the homotopy tracks
-    every root, so no start points are carried over), compares its total
-    with the exact equilibria of the unperturbed game and records how far
-    each of them moved.  A baseline equilibrium with no perturbed
-    equilibrium within _TRACK_TOL counts as a tracking failure.
+    every root, so no start points are carried over).  Each exact equilibrium
+    of the game is regular and strict on its boundary players, so it persists
+    on its own support: a trial whose supports, as a multiset, are not the
+    exact equilibria's is a tracking failure, and an exact equilibrium's drift
+    is its max-norm distance to the nearest point found on its support.
     """
     from .candidate_engine import equilibria as exact_equilibria
 
-    exact = [cand.gamma_floats() for cand in exact_equilibria(game, method="both")]
-    baseline = np.array(exact).reshape(-1, game.m)
+    exact = exact_equilibria(game, method="both")
+    baseline = np.array([cand.gamma_floats() for cand in exact]).reshape(-1, game.m)
+    # each baseline point's support: its boundary players at 0 or 1, the rest free
+    kinds = np.full(baseline.shape, FREE)
+    for row, cand in zip(kinds, exact):
+        for player, value in cand.boundary:
+            row[player - 1] = ONE if value else ZERO
+    supports = sorted(map(tuple, kinds.tolist()))
     rng = np.random.default_rng(seed)
     trial_seeds = rng.integers(0, 2**63 - 1, size=trials)
 
@@ -613,13 +614,15 @@ def verify_deformation(
         totals.append(report.total)
         if report.total == len(baseline):
             stable += 1
-        # each baseline point's max-norm distance to its nearest found point
-        found = np.array([eq.gamma for eq in report.equilibria]).reshape(-1, game.m)
-        drift = np.abs(baseline[:, None] - found).max(axis=2).min(axis=1, initial=np.inf)
-        tracked = drift <= _TRACK_TOL
-        max_drift = max(max_drift, float(drift[tracked].max(initial=0.0)))
-        if not tracked.all():
+        found_kinds = [eq.support.kinds for eq in report.equilibria]
+        if sorted(found_kinds) != supports:
             failures.append(t)
+        # each baseline point's max-norm distance to its nearest found point on its support
+        found = np.array([eq.gamma for eq in report.equilibria]).reshape(-1, game.m)
+        same = (kinds[:, None] == np.array(found_kinds, dtype=str).reshape(-1, game.m)).all(axis=2)
+        dist = np.abs(baseline[:, None] - found).max(axis=2)
+        drift = np.where(same, dist, np.inf).min(axis=1, initial=np.inf)
+        max_drift = max(max_drift, float(drift[np.isfinite(drift)].max(initial=0.0)))
     return DeformationReport(
         m=game.m,
         epsilon=epsilon,

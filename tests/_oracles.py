@@ -23,9 +23,10 @@ tests read.
 ``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
 exclusion turned off: it tracks the paths of every support, so its
 equilibria show that no support the exclusion skips holds one.
-``deformation_drift`` measures ``verify_deformation``'s drift one baseline
-point and one found equilibrium at a time; the library takes one distance
-matrix a trial.
+``deformation_drift`` measures ``verify_deformation``'s drift and tracking
+failures one baseline candidate and one found equilibrium at a time, reading
+each candidate's support from its boundary assignment; the library takes one
+distance matrix a trial and masks it by support.
 
 ``enumerate_permutations`` and ``enumerate_candidates`` walk the candidates
 one at a time with ``itertools``, permutations in lexicographic order and a
@@ -210,29 +211,38 @@ def solve_all_tracking_every_support(
 
 def deformation_drift(baseline, trials) -> tuple[float, list[int], int]:
     """``verify_deformation``'s ``max_drift``, ``tracking_failures`` and
-    ``stable_trials`` by a scalar loop over the baseline points ``baseline``
+    ``stable_trials`` by a scalar loop over the exact candidates ``baseline``
     and the equilibria each trial found (``trials``, one list a trial).
 
-    A point's drift is its max-norm distance to the nearest found point.
+    A candidate's support has its boundary players at their value and the
+    rest free.  A trial fails when its supports, sorted, are not the
+    baseline's.  A candidate's drift is its max-norm distance to the nearest
+    found point on its support; one with no such point has no drift.
     """
+    supports = []
+    for cand in baseline:
+        values = dict(cand.boundary)
+        supports.append(
+            tuple(
+                (solver.ZERO, solver.ONE)[values[i]] if i in values else solver.FREE
+                for i in range(1, len(cand.gamma) + 1)
+            )
+        )
     failures: list[int] = []
     stable = 0
     max_drift = 0.0
     for t, found in enumerate(trials):
         if len(found) == len(baseline):
             stable += 1
-        tracked = True
-        for point in baseline:
-            drift = min(
-                (max(abs(a - b) for a, b in zip(point, eq.gamma)) for eq in found),
-                default=np.inf,
-            )
-            if drift > solver._TRACK_TOL:
-                tracked = False
-            else:
-                max_drift = max(max_drift, drift)
-        if not tracked:
+        if sorted(supports) != sorted(eq.support.kinds for eq in found):
             failures.append(t)
+        for cand, kinds in zip(baseline, supports):
+            drifts = [
+                max(abs(float(a) - b) for a, b in zip(cand.gamma, eq.gamma))
+                for eq in found
+                if eq.support.kinds == kinds
+            ]
+            max_drift = max(max_drift, min(drifts, default=0.0))
     return max_drift, failures, stable
 
 

@@ -375,7 +375,7 @@ class TestInputValidation:
             (["construct", "--m", "3", "--v", "0a1", "--out", "g.json"], "--v must be a bit"),
             (["deform", "game.json", "--epsilon", "-1"], "--epsilon: must be a finite number > 0"),
             (["deform", "game.json", "--epsilon", "0"], "--epsilon: must be a finite number > 0"),
-            (["solve", "game.json", "--residual-tol", "-1"], "--residual-tol: must be a finite"),
+            (["deform", "game.json", "--epsilon", "nan"], "--epsilon: must be a finite number > 0"),
             (["scan", "--m", "2", "--seed", "-1"], "--seed: must be >= 0"),
             (["deform", "game.json", "--seed", "x"], "--seed: invalid non_negative_int value"),
             (["classify", "missing-game.json"], "No such file"),
@@ -469,6 +469,9 @@ class TestInputValidation:
             ["deform", "game.json", "--starts", "12"],
             ["scan", "--m", "2", "--dedup-tol", "1e-6"],
             ["construct", "--m", "2", "--out", "g.json", "--format", "json"],
+            ["solve", "game.json", "--residual-tol", "1e-9"],
+            ["deform", "game.json", "--residual-tol", "1e-9"],
+            ["scan", "--m", "2", "--residual-tol", "1e-9"],
         ],
     )
     def test_unused_knobs_are_rejected(self, argv, capsys):
