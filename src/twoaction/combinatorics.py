@@ -49,9 +49,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
 
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, img in enumerate(self.images, start=1) if img == i)
-
 
 def subfactorial(n: int) -> int:
     """Number of derangements of an n-element set, via !n = n*!(n-1) + (-1)^n."""

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import candidates_on_face_class, enumerate_derangements
+from .combinatorics import candidates_on_face_class, enumerate_derangements, subfactorial
 from .game_model import FLOAT, ProductTwoActionGame, TwoActionGame, perturb
 
 ZERO, ONE, FREE = "zero", "one", "free"
@@ -210,29 +210,30 @@ def _moebius(values: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which free players each monomial holds, and where its gradients come from.
+def _gradient_columns(r: int) -> np.ndarray:
+    """Where the gradients of the monomials of r free players come from.
 
-    ``bits[j, 0, S]`` says whether player j is in the bit mask S, the first
-    one most significant.  For k < r, ``columns[S, k]`` is S without k when
-    k is in S, and otherwise 2^r, the index of a zero column appended to the
-    monomials; ``columns[S, r]`` is S itself.
+    For k < r, ``columns[S, k]`` is the bit mask S without k when k is in S,
+    the first one most significant, and otherwise 2^r, the index of a zero
+    column appended to the monomials; ``columns[S, r]`` is S itself.
     """
     masks = np.arange(2**r)
     bit = 1 << np.arange(r - 1, -1, -1)[:, None]
-    bits = (masks & bit) > 0
-    tables = bits[:, None, :], np.vstack([np.where(bits, masks ^ bit, 2**r), masks]).T
-    for table in tables:  # cached: every caller shares them
-        table.flags.writeable = False
-    return tables
+    columns = np.vstack([np.where(masks & bit, masks ^ bit, 2**r), masks]).T
+    columns.flags.writeable = False  # cached: every caller shares it
+    return columns
 
 
 def _monomials(x: np.ndarray) -> np.ndarray:
     """All monomials prod_{j in S} x_j of a batch of points, shape (P, 2^r).
 
-    Column S is in the bit-mask order of _moebius.
+    Column S is in the bit-mask order of _moebius; each x_j doubles the columns.
     """
-    return np.where(_bit_tables(x.shape[1])[0], x.T[:, :, None], 1).prod(axis=0)
+    P, r = x.shape
+    M = np.ones((P, 2**r), dtype=x.dtype)
+    for j in range(r):  # the odd columns of M[:, ::2^(r-j-1)] are the even ones times x_j
+        M[:, 2 ** (r - j - 1) :: 2 ** (r - j)] = M[:, :: 2 ** (r - j)] * x[:, j, None]
+    return M
 
 
 def _linearized(C: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +243,7 @@ def _linearized(C: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0, so dM^T and M are one gather from M with a zero column appended.
     """
     padded = np.concatenate((M, np.zeros((len(M), 1), dtype=M.dtype)), axis=1)
-    both = C @ padded[:, _bit_tables(M.shape[1].bit_length() - 1)[1]]
+    both = C @ padded[:, _gradient_columns(M.shape[1].bit_length() - 1)]
     return both[..., :-1], both[..., -1:]
 
 
@@ -291,7 +292,7 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     ``target`` holds F's coefficients per path, ``start`` G's with gamma.
     ``shrink`` divides the step bounds.  Returns the points reached, the
     mask of paths that reached t = 1, the mask of those that diverged, and
-    each path's accepted and rejected rounds.
+    the accepted and rejected rounds, summed over the paths.
 
     A round builds and inverts two Jacobians, not four.  The corrector is a
     chord method: both Newton corrections at t1 use the inverse at the Heun
@@ -304,11 +305,11 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     max_step, tol = _MAX_STEP / shrink, _CORRECTOR_TOL / shrink
     n = len(x)
     end, reached, diverged = x.copy(), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    accepted = rounds = 0
     # the paths still moving and their state, compacted when one stops
     paths, dC, x, t = np.arange(n), target - start, x.copy(), np.zeros(n)
     inverse = _inverse(_linearized(start, _monomials(x))[0])
-    step, acc, rej = np.full(n, max_step), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    step = np.full(n, max_step)
     for _ in range(_MAX_ROUNDS):
         if not len(paths):
             break
@@ -334,8 +335,8 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
         factor = np.minimum(np.maximum(np.cbrt(0.3 * tol * size / n1), 0.25), 2)
         factor = np.where(ok, factor, np.where(n1 > tol * size, np.minimum(factor, 0.9), 0.5))
         step = np.minimum(h * factor, max_step)
-        acc += ok
-        rej += ~ok
+        accepted += int(ok.sum())
+        rounds += len(ok)
         np.copyto(x, xp, where=ok[:, None])
         np.copyto(t, t1, where=ok)
         np.copyto(inverse, chord, where=ok[:, None, None])
@@ -343,13 +344,11 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
         if stop.any():
             done = paths[stop]
             reached[done], diverged[done] = t1[stop] == 1, t1[stop] < 1
-            end[done], accepted[done], rejected[done] = x[stop], acc[stop], rej[stop]
+            end[done] = x[stop]
             keep = ~stop
-            paths, dC, x, t, inverse, step, acc, rej = (
-                a[keep] for a in (paths, dC, x, t, inverse, step, acc, rej)
-            )
-    end[paths], accepted[paths], rejected[paths] = x, acc, rej
-    return end, reached, diverged, accepted, rejected
+            paths, dC, x, t, inverse, step = (a[keep] for a in (paths, dC, x, t, inverse, step))
+    end[paths] = x
+    return end, reached, diverged, accepted, rounds - accepted
 
 
 def _track_supports(target: np.ndarray, attempt: int):
@@ -386,7 +385,7 @@ def _track_supports(target: np.ndarray, attempt: int):
     for k in range(r):
         close &= np.abs(x[:, :, None, k] - x[:, None, :, k]) <= _ENDPOINT_TOL * size[:, None, :]
     state[close.any(axis=1)] = _FAILED
-    return x, state, np.array([accepted.sum(), rejected.sum()])
+    return x, state, np.array([accepted, rejected])
 
 
 def _proven_empty(values: np.ndarray, batch: _Batch, residual: float, margin: float) -> np.ndarray:
@@ -427,9 +426,13 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         target = own / np.where(scale == 0, 1.0, scale)[..., None]
         empty = _proven_empty(at_vertices, batch, _RESIDUAL_TOL * unit, _MARGIN_TOL * unit)
         tracked = np.flatnonzero(~empty)
+        # a free player indifferent on the whole face leaves no isolated root:
+        # each path would meet a singular Jacobian at t = 1, so all fail untracked
+        live, shape = ~degenerate[tracked], (len(tracked), subfactorial(r))
+        x, state = np.zeros(shape + (r,), dtype=complex), np.full(shape, _FAILED)
         with np.errstate(all="ignore"):
-            x, state, work = _track_supports(target[tracked], 0)
-            redo = (state == _FAILED).any(axis=1)
+            x[live], state[live], work = _track_supports(target[tracked[live]], 0)
+            redo = live & (state == _FAILED).any(axis=1)
             if redo.any():
                 x[redo], state[redo], more = _track_supports(target[tracked[redo]], 1)
                 work += more
@@ -525,13 +528,13 @@ def solve_all(
     """All equilibria of the game, by support enumeration.
 
     ``stats`` counts the paths: those of supports that the values at the
-    vertices of their face prove empty (``excluded``), the others, which are
-    tracked (``starts``; with ``excluded`` they add up to the sum over r >= 2
-    of C(m, r) 2^(m-r) !r), those ending at a finite point (``converged``),
-    those re-tracked after a jump or failure, and those ending in each of
-    PATH_STATES.  It also counts the tracking rounds summed over the paths,
-    accepted (``steps``) and rejected (``rejected``), and the degenerate
-    supports, over every support.
+    vertices of their face prove empty (``excluded``), the others
+    (``starts``; with ``excluded`` they add up to the sum over r >= 2 of
+    C(m, r) 2^(m-r) !r), tracked unless their face is degenerate, those
+    ending at a finite point (``converged``), those re-tracked after a jump
+    or failure, and those ending in each of PATH_STATES.  It also counts the
+    tracking rounds summed over the paths, accepted (``steps``) and rejected
+    (``rejected``), and the degenerate supports, over every support.
     """
     vertex = _vertex_differences(game)
     m = len(vertex)

@@ -16,9 +16,12 @@ tables behind the maximal game's orderings.
 
 ``payoff``, ``lam`` and ``lam_at_profile`` evaluate a game's multilinear
 extension entry by entry, ``utility`` reads one pure profile through
-``profile_index``, and ``chi``, ``is_identity`` and ``is_derangement`` are
-the order indicator and permutation predicates the other oracles and the
-tests read.
+``profile_index``, and ``chi``, ``fixed_points``, ``is_identity`` and
+``is_derangement`` are the order indicator and the permutation helpers the
+other oracles and the tests read.
+
+``monomials`` evaluates every monomial of a face at a batch of points by one
+``where``/``prod`` over a bit table; the library builds them by doubling.
 
 ``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
 exclusion turned off: it tracks the paths of every support, so its
@@ -59,8 +62,12 @@ def chi(a, b) -> int:
     return 1 if a >= b else 0
 
 
+def fixed_points(p: Permutation) -> tuple[int, ...]:
+    return tuple(i for i, img in enumerate(p.images, start=1) if img == i)
+
+
 def is_derangement(p: Permutation) -> bool:
-    return not p.fixed_points()
+    return not fixed_points(p)
 
 
 def is_identity(p: Permutation) -> bool:
@@ -79,7 +86,7 @@ def candidate_for(
     game: ProductTwoActionGame, pi: Permutation, boundary_values: dict[int, int]
 ) -> EquilibriumCandidate:
     """Build the candidate for a permutation and a boundary assignment."""
-    fixed = pi.fixed_points()
+    fixed = fixed_points(pi)
     if set(boundary_values) != set(fixed):
         raise ValueError("boundary assignment must cover exactly the fixed points")
     gamma = []
@@ -98,7 +105,7 @@ def candidate_for(
 def enumerate_candidates(game: ProductTwoActionGame) -> Iterator[EquilibriumCandidate]:
     """All equilibrium candidates, grouped by permutation in lexicographic order."""
     for pi in enumerate_permutations(game.m):
-        fixed = pi.fixed_points()
+        fixed = fixed_points(pi)
         for bits in itertools.product((0, 1), repeat=len(fixed)):
             yield candidate_for(game, pi, dict(zip(fixed, bits)))
 
@@ -195,6 +202,14 @@ def lam_factored(game: ProductTwoActionGame, i: int, gamma) -> Fraction:
             - game.coeffs.numerators[(i, j)] * (common // scale)
         )
     return Fraction(value, common ** len(others))
+
+
+def monomials(x: np.ndarray) -> np.ndarray:
+    """``solver._monomials`` by one ``where``/``prod`` over a table of which
+    free players each bit mask holds, the first one most significant."""
+    r = x.shape[1]
+    bits = (np.arange(2**r) & (1 << np.arange(r - 1, -1, -1)[:, None])) > 0
+    return np.where(bits[:, None, :], x.T[:, :, None], 1).prod(axis=0)
 
 
 def solve_all_tracking_every_support(
@@ -432,7 +447,7 @@ def verify_block_swap_tables(m: int) -> TableCheckResult:
     """
     swaps = {j: block_swap_permutation(m, j) for j in range(1, m + 1)}
     for pi in enumerate_permutations(m):
-        fixed = pi.fixed_points()
+        fixed = fixed_points(pi)
         if not fixed:
             continue
         moved = [j for j in range(1, m + 1) if pi(j) != j]

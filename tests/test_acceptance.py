@@ -18,6 +18,7 @@ from _oracles import (
     candidate_count_by_faces,
     classify,
     enumerate_candidates,
+    fixed_points,
     lam_at_profile,
     subfactorial_alternating_sum,
     subfactorial_pair_recursion,
@@ -244,7 +245,7 @@ def test_criterion_6_structural_invariants():
                     if classify(game, cand, "both"):
                         entry[1] += 1
                 for images, (total, eq) in by_pi.items():
-                    l = len(Permutation(images).fixed_points())
+                    l = len(fixed_points(Permutation(images)))
                     assert total == 2**l
                     if l == 0:
                         assert eq == 1  # derangement candidates always count

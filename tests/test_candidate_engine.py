@@ -13,6 +13,7 @@ from _oracles import (
     classify_by_increment,
     classify_by_sign,
     enumerate_candidates,
+    fixed_points,
     increment,
     lam_at_profile,
     lam_factored,
@@ -462,7 +463,7 @@ class TestStructuralInvariants:
         # equilibrium each: one of the two boundary values must win
         game = maximal_game(4)
         for pi, count in _per_permutation_counts(game).items():
-            if len(Permutation(pi).fixed_points()) == 1:
+            if len(fixed_points(Permutation(pi))) == 1:
                 assert count == 1
 
     def test_identity_permutation_needs_constant_signs(self, random_product_game):

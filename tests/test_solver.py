@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import deformation_drift, lam_at_profile, solve_all_tracking_every_support
+from _oracles import (
+    deformation_drift,
+    lam_at_profile,
+    monomials,
+    solve_all_tracking_every_support,
+)
 from twoaction.candidate_engine import census, equilibria
 from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
@@ -209,6 +214,17 @@ class TestHomotopy:
                 shifted[:, k] += h
                 assert np.allclose((solver._monomials(shifted) - M) / h, dM[:, k], atol=1e-6)
 
+    @pytest.mark.parametrize("r", range(8))
+    def test_monomials_are_the_products(self, r):
+        # doubling multiplies each monomial's factors in the oracle's order,
+        # so the two agree bit for bit, zeros and complex points included
+        rng = np.random.default_rng(r)
+        real = rng.uniform(-2, 2, size=(20, r))
+        points = real + 1j * rng.uniform(-2, 2, size=(20, r))
+        zeros = np.where(rng.random((20, r)) < 0.3, 0.0, points)
+        for x in (points, real, zeros):
+            assert np.array_equal(solver._monomials(x), monomials(x))
+
     def test_singular_jacobian_gives_nan_for_its_path_only(self):
         # F = (x2 - 1, x1 - 2) has an invertible Jacobian; F = (x2, 0) does not
         C = np.array([[[-1.0, 1, 0, 0], [-2, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 0]]])
@@ -233,7 +249,7 @@ class TestHomotopy:
         per_path = np.repeat(own, len(roots), axis=0)
         _, reached, _, accepted, rejected = solver._track(per_path, start, roots, 1)
         assert not reached.any()
-        assert ((accepted + rejected) == 3).all()
+        assert accepted + rejected == 3 * len(per_path)
         assert calls == [len(roots)] * (1 + 2 * 3)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -309,10 +325,22 @@ class TestPathAccounting:
         monkeypatch.setattr(
             solver,
             "_track",
-            lambda *args: (ends, np.ones(4, bool), np.zeros(4, bool), np.zeros(4), np.zeros(4)),
+            lambda *args: (ends, np.ones(4, bool), np.zeros(4, bool), 0, 0),
         )
         _, state, _ = solver._track_supports(np.concatenate([target, target]), 0)
         assert state.tolist() == [[interior, PATH_STATES.index("failed")], [interior, interior]]
+
+    def test_degenerate_face_fails_untracked(self):
+        # player 1 is indifferent everywhere, so every face where it is free
+        # is degenerate: no isolated root, and its paths fail without a round
+        t = np.random.default_rng(5).uniform(-1, 1, size=(3, 8))
+        t[0] = 0.0
+        report = solve_all(TwoActionGame(3, t.tolist(), mode=FLOAT))
+        stats = report.stats
+        assert stats["failed"] == stats["starts"] == 3
+        assert stats["steps"] == stats["rejected"] == stats["retracked"] == 0
+        assert stats["degenerate_supports"] == 9
+        assert report.total == 0
 
     @pytest.mark.parametrize("corrector_tol, shrink", [(0.5, 8), (10.0, 1)])
     def test_path_jumps_are_retracked_or_reported(self, monkeypatch, corrector_tol, shrink):
