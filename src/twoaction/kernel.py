@@ -9,7 +9,10 @@ criterion.  Two facts keep its pass over all m! permutations short.
   ``base_t = 1 + v_t + #{j moved: sigma_j(pi(j)) >= sigma_j(t)}``.  So a
   permutation with k >= 1 fixed points yields 2^(k-1) equilibria (the
   assignments with the right parity of zeros) if all its base_t agree, and
-  none otherwise.  A derangement yields its one candidate as an equilibrium.
+  none otherwise.  A derangement yields its one candidate as an equilibrium,
+  and with k = 1 there is one base_t, so it agrees: the !m + m !(m-1)
+  permutations with k <= 1, about 1 - 2/e of all m!, are counted untested,
+  and only those with k >= 2 are tested, block by block (below).
 * One bitmask.  With ``M[j, a]`` the set of players i with
   ``sigma_j(a) >= sigma_j(i)`` (and ``M[j, j]`` empty), bit t of
   ``X = (1 + v) XOR M[0, pi(0)] XOR ... XOR M[m-1, pi(m-1)]`` is base_t.
@@ -32,10 +35,20 @@ block, and visit the heads in lexicographic order, so every block lists its
 s! permutations, and all blocks the m!, in lexicographic order.
 
 The kernel only counts, so it needs no order.  It takes s = ceil(m/2) and
-tallies passing pairs per (h, t): a float32 matmul of the pass mask against
-a one-hot of the tail orderings' t, folded by the head orderings' h into
-int64.  A chunk holds whole value sets, or one set's head orderings in
-slices, at most CHUNK_ROWS pairs and at least one head ordering.
+groups the value sets by their number j of own values, those that are
+positions of their own half (``census_plan``).  It relabels each set's
+positions: where the set's q-th value is an own value, that value is its
+q-th position, and the other positions follow in order.  Then an ordering c
+fixes exactly the own slots q with ``orders[q, c] == q``, which depends on
+the group and c alone, and one column order per group and half sorts the
+orderings by their number of fixed points.  A block is a group's head
+orderings with h fixed points against its tail orderings with t >= 2 - h, a
+rectangle of the sorted tables; the blocks hold every pair with h + t >= 2
+once.  A chunk holds whole value sets of a block, or one set's head
+orderings in slices, at most CHUNK_ROWS pairs and at least one head
+ordering; it counts the passing pairs of each run of equal t with one
+``count_nonzero``.  The per-k counts of the permutations, which the census
+checks, are those of the chunks tested plus those counted untested.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +80,23 @@ def orderings(n: int) -> np.ndarray:
     return orders
 
 
-def reduce_orderings(rows: np.ndarray, sets: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """``op`` over the cells of every ordering of every value set, one row a position.
+def reduce_orderings(
+    table: np.ndarray, positions: np.ndarray, sets: np.ndarray, op: np.ufunc
+) -> np.ndarray:
+    """``op`` over the cells of every ordering of every value set on n positions.
 
-    ``rows[q]`` is the table row of the q-th of n positions and ``sets[r]``
-    holds n values; ``out[r, c]`` reduces ``rows[q, sets[r, orders[q, c]]]``
-    over q, with ``orders = orderings(n)``.
+    ``sets[r]`` holds n values, and ``positions`` the n positions, shared
+    (shape ``(n,)``) or one row a set.  ``out[r, c]`` reduces
+    ``table[positions[q], sets[r, orders[q, c]]]`` over q, with
+    ``orders = orderings(n)``.
     """
+    rows = np.broadcast_to(positions, sets.shape).T
+    cells = table[rows[:, None, :], sets.T[None, :, :]]  # [q, a, r]
     orders = orderings(sets.shape[1])
-    out = np.zeros((len(sets), orders.shape[1]), dtype=rows.dtype)
-    for row, order in zip(rows, orders):
-        op(out, np.take(row[sets], order, axis=1), out=out)
-    return out
+    out = np.zeros((orders.shape[1], len(sets)), dtype=table.dtype)
+    for q, order in enumerate(orders):  # [ordering, set]: whole rows gather fastest
+        op(out, cells[q].take(order, axis=0), out=out)
+    return np.ascontiguousarray(out.T)
 
 
 @functools.lru_cache(maxsize=2)  # one m a census, s = ceil(m/2) or suffix_len(m); 1.3 MB at m = 12
@@ -96,8 +115,8 @@ def halves(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
         [[a for a in range(m) if a not in values] for values in chosen], dtype=np.int8
     ).reshape(len(chosen), m - s)
     eye = np.eye(m, dtype=np.int8)
-    head_fixed = reduce_orderings(eye[: m - s], head_sets, np.add)
-    tail_fixed = reduce_orderings(eye[m - s :], tail_sets, np.add)
+    head_fixed = reduce_orderings(eye, np.arange(m - s), head_sets, np.add)
+    tail_fixed = reduce_orderings(eye, np.arange(m - s, m), tail_sets, np.add)
     tables = head_sets, tail_sets, head_fixed, tail_fixed
     for table in tables:  # cached: every census of this m shares them
         table.flags.writeable = False
@@ -115,7 +134,10 @@ def split_reduce(table: np.ndarray, s: int, op: np.ufunc) -> tuple[np.ndarray, n
     """
     head_sets, tail_sets, _, _ = halves(len(table), s)
     p = head_sets.shape[1]
-    return reduce_orderings(table[:p], head_sets, op), reduce_orderings(table[p:], tail_sets, op)
+    return (
+        reduce_orderings(table, np.arange(p), head_sets, op),
+        reduce_orderings(table, np.arange(p, len(table)), tail_sets, op),
+    )
 
 
 def order_masks(sigma) -> np.ndarray:
@@ -127,6 +149,146 @@ def order_masks(sigma) -> np.ndarray:
     masks = (images[:, :, None] >= images[:, None, :]) @ (np.int64(1) << np.arange(len(images)))
     np.fill_diagonal(masks, 0)
     return masks
+
+
+class Group(NamedTuple):
+    """The value sets of a census plan with the same number of own values.
+
+    ``sets`` is the group's slice of the plan's sets.  Relabelled, the i-th
+    head ordering has the same number h of fixed points in every set of the
+    group, and ``head_order`` lists the orderings by h: those with h are
+    ``head_order[head_starts[h] : head_starts[h + 1]]``, h = 0..m.  Likewise
+    for the tail.
+    """
+
+    sets: slice
+    head_order: np.ndarray
+    head_starts: np.ndarray
+    tail_order: np.ndarray
+    tail_starts: np.ndarray
+
+
+class Block(NamedTuple):
+    """A group's head orderings with h fixed points against its tail orderings with t >= 2 - h."""
+
+    group: int
+    h: int
+
+
+class Plan(NamedTuple):
+    """The pairs the kernel tests, as blocks, and the number it counts untested.
+
+    ``sets`` lists the rows of ``halves(m, ceil(m/2))`` group by group.
+    Under ordering c, position ``head_positions[r, q]`` takes the value
+    ``head_sets[sets[r], orders[q, c]]``.  Where that set's q-th value is a
+    head position (an own value), ``head_positions[r, q]`` is that value, so
+    c fixes exactly the own slots q with ``orders[q, c] == q``.  Likewise
+    for the tail.
+    ``blocks`` hold every pair with h + t >= 2 once, and ``skipped[k]`` is
+    the number of pairs with h + t = k, for k = 0 and 1.
+    """
+
+    sets: np.ndarray
+    head_positions: np.ndarray
+    tail_positions: np.ndarray
+    groups: tuple[Group, ...]
+    blocks: tuple[Block, ...]
+    skipped: tuple[int, int]
+
+
+def _own_positions(sets: np.ndarray, first: int) -> np.ndarray:
+    """Each set's n positions ``first..first+n-1``: own values in their slots, the rest in order."""
+    positions = np.arange(first, first + sets.shape[1], dtype=sets.dtype)
+    own = (sets >= first) & (sets < first + len(positions))
+    free = ~(positions[:, None] == sets[:, None, :]).any(axis=2)
+    relabelled = sets.copy()
+    relabelled[~own] = np.broadcast_to(positions, free.shape)[free]
+    return relabelled
+
+
+def _sorted_orderings(own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orderings of ``len(own)`` slots by their fixed points among the ``own`` slots.
+
+    Returns the orderings' indices in that order, and their fixed points.
+    """
+    orders = orderings(len(own))
+    slots = np.flatnonzero(own)
+    fixed = (orders[slots] == slots[:, None]).sum(axis=0)
+    order = np.argsort(fixed, kind="stable")
+    return order, fixed[order]
+
+
+@functools.lru_cache(maxsize=2)  # one m a census; 100 kB at m = 12
+def census_plan(m: int) -> Plan:
+    """The kernel's groups and blocks, with s = ceil(m/2) and p = m - s.
+
+    A set's own values are those that are positions of its half.  A group
+    holds the sets with j own tail values, and so j - s + p own head values.
+    """
+    s = (m + 1) // 2
+    p = m - s
+    head_sets, tail_sets, _, _ = halves(m, s)
+    own_tail = (tail_sets >= p).sum(axis=1)
+    sets = np.argsort(own_tail, kind="stable")
+    groups, blocks, skipped = [], [], [0, 0]
+    bounds = np.cumsum(np.bincount(own_tail)).tolist()
+    for first, stop in zip([0, *bounds], bounds):
+        if first == stop:
+            continue
+        head_order, head_fixed = _sorted_orderings(head_sets[sets[first]] < p)
+        tail_order, tail_fixed = _sorted_orderings(tail_sets[sets[first]] >= p)
+        head_starts = np.searchsorted(head_fixed, np.arange(m + 2))
+        tail_starts = np.searchsorted(tail_fixed, np.arange(m + 2))
+        heads, tails = np.diff(head_starts), np.diff(tail_starts)  # orderings per h, per t
+        for h in np.flatnonzero(heads).tolist():
+            if tail_starts[max(0, 2 - h)] < tail_starts[-1]:
+                blocks.append(Block(len(groups), h))
+        skipped[0] += (stop - first) * int(heads[0] * tails[0])
+        skipped[1] += (stop - first) * int(heads[0] * tails[1] + heads[1] * tails[0])
+        groups.append(Group(slice(first, stop), head_order, head_starts, tail_order, tail_starts))
+    plan = Plan(
+        sets,
+        _own_positions(head_sets[sets], 0),
+        _own_positions(tail_sets[sets], p),
+        tuple(groups),
+        tuple(blocks),
+        tuple(skipped),
+    )
+    tables = [plan.sets, plan.head_positions, plan.tail_positions]
+    for table in tables + [table for group in groups for table in group[1:]]:
+        table.flags.writeable = False  # cached: every census of this m shares them
+    return plan
+
+
+def _tally_block(head, tail, runs, m: int, perms: list[int], passing: list[int]) -> None:
+    """Test every pair of a head and a tail ordering of each set, a chunk at a time.
+
+    ``head[r, i]`` and ``tail[r, c]`` are the codes of the block's r-th set;
+    ``runs`` lists (k, a, b) for the columns ``a:b`` of ``tail`` whose pairs
+    have k fixed points.  Adds each chunk's pairs and passing pairs per k.
+    """
+    (sets, heads), tails = head.shape, tail.shape[1]
+    if heads * tails <= CHUNK_ROWS:  # whole value sets a chunk
+        sets_per, heads_per = CHUNK_ROWS // (heads * tails), heads
+    else:  # one value set a chunk, its head orderings in slices
+        sets_per, heads_per = 1, max(1, CHUNK_ROWS // tails)
+    tails_inner = tails >= heads_per  # the longer axis innermost
+    for r in range(0, sets, sets_per):
+        for i in range(0, heads, heads_per):
+            chunk_head = head[r : r + sets_per, i : i + heads_per]
+            chunk_tail = tail[r : r + sets_per]
+            if tails_inner:  # [set, head ordering, tail ordering]
+                pair = chunk_head[:, :, None] ^ chunk_tail[:, None, :]
+            else:  # [set, tail ordering, head ordering]
+                pair = chunk_tail[:, :, None] ^ chunk_head[:, None, :]
+            fixed = pair >> m
+            hit = np.bitwise_and(pair, fixed, out=pair)
+            ok = hit == 0
+            ok |= hit == fixed
+            for k, a, b in runs:
+                run = ok[..., a:b] if tails_inner else ok[:, a:b]
+                perms[k] += run.size
+                passing[k] += int(np.count_nonzero(run))
 
 
 def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
@@ -143,39 +305,33 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     codes[0] ^= sum(1 << i for i in range(m) if not v[i])
     codes = codes.astype(dtype)
     s = (m + 1) // 2
-    p = m - s
-    _, _, head_fixed, tail_fixed = halves(m, s)
-    head, tail = split_reduce(codes, s, np.bitwise_xor)
+    head_sets, tail_sets, _, _ = halves(m, s)
+    plan = census_plan(m)
+    head_sets, tail_sets = head_sets.take(plan.sets, axis=0), tail_sets.take(plan.sets, axis=0)
+    head = reduce_orderings(codes, plan.head_positions, head_sets, np.bitwise_xor)
+    tail = reduce_orderings(codes, plan.tail_positions, tail_sets, np.bitwise_xor)
 
-    heads, tails = head.shape[1], tail.shape[1]
-    if heads * tails <= CHUNK_ROWS:  # whole value sets a chunk
-        sets_per, rows = CHUNK_ROWS // (heads * tails), heads
-    else:  # one value set a chunk, its head orderings in slices
-        sets_per, rows = 1, max(1, CHUNK_ROWS // tails)
-    h_eye, t_eye = np.eye(p + 1), np.eye(s + 1, dtype=np.float32)
-    # tally[0, h, t]: pairs visited whose head has h fixed points and tail t; tally[1]: passing
-    tally = np.zeros((2, p + 1, s + 1), dtype=np.int64)
-    for r in range(0, len(head), sets_per):
-        by_t = t_eye.take(tail_fixed[r : r + sets_per], axis=0)  # one-hot, (sets, tails, s + 1)
-        t_count = np.ones(tails, dtype=np.float32) @ by_t
-        for i in range(0, heads, rows):
-            pair = head[r : r + sets_per, i : i + rows, None] ^ tail[r : r + sets_per, None, :]
-            fixed = pair >> m
-            hit = np.bitwise_and(pair, fixed, out=pair)
-            ok = hit == 0
-            ok |= hit == fixed
-            passed = ok.astype(np.float32) @ by_t  # per (head ordering, t), each at most s!
-            by_h = h_eye.take(head_fixed[r : r + sets_per, i : i + rows], axis=0)
-            h_count = np.ones(by_h.shape[1]) @ by_h
-            # one chunk's sums, in float64: exact, as a chunk has far fewer than 2^53 pairs
-            tally[0] += (h_count.T @ t_count).astype(np.int64)
-            tally[1] += (by_h.reshape(-1, p + 1).T @ passed.reshape(-1, s + 1)).astype(np.int64)
+    # per k = h + t: pairs tested, and those that pass; every pair with k <= 1 passes
+    perms, passing = [0] * (m + 1), [0] * (m + 1)
+    perms[:2] = passing[:2] = plan.skipped
+    current = None
+    for group, h in plan.blocks:
+        g = plan.groups[group]
+        if group != current:  # the group's [set, sorted ordering] tables; drop the last first
+            current, group_head, group_tail = group, None, None
+            group_head = head[g.sets].take(g.head_order, axis=1)
+            group_tail = tail[g.sets].take(g.tail_order, axis=1)
+            head_starts, tail_starts = g.head_starts.tolist(), g.tail_starts.tolist()
+        t0 = max(0, 2 - h)
+        first = tail_starts[t0]
+        runs = [  # the block's tail orderings with t fixed points, and k = h + t
+            (h + t, tail_starts[t] - first, tail_starts[t + 1] - first)
+            for t in range(t0, s + 1)
+            if tail_starts[t] < tail_starts[t + 1]
+        ]
+        block_head = group_head[:, head_starts[h] : head_starts[h + 1]]
+        _tally_block(block_head, group_tail[:, first:], runs, m, perms, passing)
 
-    # fold (h, t) into the pair's fixed-point count k = h + t
-    by_k = np.zeros((2, m + 1), dtype=np.int64)
-    for h in range(p + 1):
-        by_k[:, h : h + s + 1] += tally[:, h]
-    perms, passing = by_k
-    cand = [int(n) << k for k, n in enumerate(perms)]
-    eq = [int(perms[0])] + [int(n) << (k - 1) for k, n in enumerate(passing) if k]
+    cand = [n << k for k, n in enumerate(perms)]
+    eq = [perms[0]] + [n << (k - 1) for k, n in enumerate(passing) if k]
     return cand, eq

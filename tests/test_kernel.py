@@ -193,31 +193,122 @@ class TestHalves:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
+    def test_plan_cache_is_bounded_read_only_and_small(self):
+        # the kernel's plan keeps integers only, never a float one-hot: the
+        # 924 sets in group order (intp) and their head and tail positions
+        # (int8) at m = 12, and per group and half the 720 orderings' sorted
+        # indices and the starts of their runs (intp)
+        maxsize = kernel.census_plan.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 4
+        plan = kernel.census_plan(12)
+        cached = [plan.sets, plan.head_positions, plan.tail_positions]
+        cached += [table for group in plan.groups for table in group[1:]]
+        assert all(table.dtype.kind == "i" for table in cached)
+        assert all(type(n) is int for n in plan.skipped)
+        nbytes = 2 * 924 * 6 + 8 * (924 + 7 * (2 * 720 + 2 * 14))
+        assert sum(table.nbytes for table in cached) == nbytes
+        for table in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        # one m a census: a sweep keeps no more than maxsize plans, and a repeat hits
+        kernel.census_plan.cache_clear()
+        for m in range(2, 13):
+            kernel.census_plan(m)
+        info = kernel.census_plan.cache_info()
+        assert info.currsize <= info.maxsize
+        kernel.census_plan(12)
+        assert kernel.census_plan.cache_info().misses == info.misses
+
+
+def _plan_pairs(m):
+    """Every pair of ``census_plan(m)`` as (group, sorted head i, sorted tail c, permutation)."""
+    s = (m + 1) // 2
+    head_sets, tail_sets, _, _ = kernel.halves(m, s)
+    plan = kernel.census_plan(m)
+    head_orders, tail_orders = kernel.orderings(m - s), kernel.orderings(s)
+    for n, g in enumerate(plan.groups):
+        for r in range(g.sets.start, g.sets.stop):
+            values = head_sets[plan.sets[r]], tail_sets[plan.sets[r]]
+            for i, a in enumerate(g.head_order.tolist()):
+                for c, b in enumerate(g.tail_order.tolist()):
+                    pi = np.empty(m, dtype=np.int64)
+                    pi[plan.head_positions[r]] = values[0][head_orders[:, a]]
+                    pi[plan.tail_positions[r]] = values[1][tail_orders[:, b]]
+                    yield n, i, c, tuple(pi.tolist())
+
+
+def _fixed_counts(starts):
+    """The fixed-point count of each sorted ordering, from a group's starts."""
+    return np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+
+
+class TestPlan:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_sorted_orderings_list_every_permutation_once(self, m):
+        # relabelled, a group's c-th sorted ordering has the same fixed
+        # points in every set, in increasing order
+        plan = kernel.census_plan(m)
+        perms = []
+        for n, i, c, pi in _plan_pairs(m):
+            g = plan.groups[n]
+            fixed = sum(a == j for j, a in enumerate(pi))
+            assert fixed == _fixed_counts(g.head_starts)[i] + _fixed_counts(g.tail_starts)[c]
+            perms.append(pi)
+        assert sorted(perms) == list(itertools.permutations(range(m)))
+
+
+class TestWork:
+    """The pairs the kernel tests, read from its plan.
+
+    The counts are exact, so a change in kernel work shows here even when
+    wall time is too noisy to show it.
+    """
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_blocks_cover_the_pairs_with_two_or_more_fixed_points_once(self, m):
+        plan = kernel.census_plan(m)
+        tested = 0
+        for n, g in enumerate(plan.groups):
+            h, t = _fixed_counts(g.head_starts), _fixed_counts(g.tail_starts)
+            cover = np.zeros((len(h), len(t)), dtype=np.int64)
+            for block in plan.blocks:
+                if block.group == n:
+                    rows = slice(g.head_starts[block.h], g.head_starts[block.h + 1])
+                    cover[rows, g.tail_starts[max(0, 2 - block.h)] :] += 1
+            assert (cover == (h[:, None] + t >= 2)).all()
+            tested += (g.sets.stop - g.sets.start) * int(cover.sum())
+        # of the m! permutations, !m have no fixed point and m * !(m - 1) one
+        assert tested == math.factorial(m) - subfactorial(m) - m * subfactorial(m - 1)
+        assert plan.skipped == (subfactorial(m), m * subfactorial(m - 1))
+        if m == 9:
+            assert tested == 95_887
+
 
 class TestChunkBoundaries:
-    # The kernel pairs, for each of the C(m, s) tail value sets, the p! head
-    # orderings with the s! tail orderings, s = ceil(m/2) and p = m - s.  A
-    # chunk holds CHUNK_ROWS // (p! s!) whole value sets if one set fits, and
-    # otherwise max(1, CHUNK_ROWS // s!) of one set's head orderings.
-    # At m = 7 that is 35 sets of 6 x 24 pairs, at m = 8 70 sets of 24 x 24.
+    # The kernel tests blocks: in one group of value sets, the head orderings
+    # with h fixed points against the tail orderings with t >= 2 - h.  A
+    # chunk holds CHUNK_ROWS // (heads * tails) whole sets of a block if one
+    # set fits, and otherwise max(1, CHUNK_ROWS // tails) of one set's head
+    # orderings.  The splits below name the block (group, h) whose boundary
+    # they hit, with its sets x heads x tails (see census_plan).
     @pytest.mark.parametrize(
         "m, splits",
         [
             (
                 7,
                 [
-                    1000,  # 6 sets a chunk; the last chunk 5 sets
-                    100,  # 4 head orderings a chunk, then a short slice of 2
-                    10,  # below s! = 24: one head ordering a chunk
-                    1 << 15,  # the default: all 35 sets in one chunk
+                    100,  # (1, 1), 18 x 2 x 10: 5 sets a chunk; the last chunk 3 sets
+                    9,  # (2, 0), 12 x 3 x 4: 2 head orderings a chunk, then a short slice of 1
+                    10,  # (2, 1), 12 x 2 x 13: below its 13 tails, one head ordering a chunk
+                    1 << 15,  # the default: every block's sets in one chunk
                 ],
             ),
             (
                 8,
                 [
-                    2000,  # 3 sets a chunk; the last chunk 1 set
-                    500,  # 20 head orderings a chunk, then a short slice of 4
-                    20,  # below s! = 24: one head ordering a chunk
+                    1100,  # (2, 1), 36 x 8 x 10: 13 sets a chunk; the last chunk 10 sets
+                    20,  # (2, 0), 36 x 14 x 2: 10 head orderings a chunk, then a short slice of 4
+                    12,  # (3, 2), 16 x 3 x 24: below its 24 tails, one head ordering a chunk
                 ],
             ),
         ],
@@ -250,3 +341,18 @@ def test_census_rejects_wrong_candidate_counts(monkeypatch):
     monkeypatch.setattr(kernel, "census_increment", off_by_one)
     with pytest.raises(RuntimeError, match="candidate counts"):
         census(maximal_game(3), "increment")
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_census_rejects_a_plan_that_misses_or_repeats_a_block(monkeypatch, change):
+    # the per-k counts checked against C(m, k) !(m - k) are those of the
+    # blocks tested plus the pairs passed untested, so each block counts
+    plan = kernel.census_plan(6)
+    for n in range(len(plan.blocks)):
+        if change == "drop":
+            blocks = plan.blocks[:n] + plan.blocks[n + 1 :]
+        else:
+            blocks = plan.blocks[: n + 1] + plan.blocks[n:]
+        monkeypatch.setattr(kernel, "census_plan", lambda m: plan._replace(blocks=blocks))
+        with pytest.raises(RuntimeError, match="candidate counts"):
+            census(maximal_game(6), "increment")
