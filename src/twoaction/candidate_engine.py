@@ -137,7 +137,7 @@ class CandidateBlock:
         """
         m = game.m
         s = kernel.suffix_len(m)
-        head_sets, tail_sets, _, _ = kernel.halves(m, s)
+        head_sets, tail_sets = kernel.halves(m, s)
         head = head_sets[self.r][kernel.orderings(m - s)[:, self.i]].tolist()
         values, orders = tail_sets[self.r], kernel.orderings(s)
         thresholds, bounds = game.coeffs.values, (Fraction(0), Fraction(1))
@@ -350,6 +350,12 @@ class CensusReport:
         }
 
 
+@functools.lru_cache(maxsize=4)
+def _candidates_per_class(m: int) -> tuple[int, ...]:
+    """The candidate count of every face class l = 0..m, which every census must match."""
+    return tuple(candidates_on_face_class(m, l) for l in range(m + 1))
+
+
 def census(
     game: ProductTwoActionGame, method: Method = "both", use_kernel: bool = True
 ) -> CensusReport:
@@ -378,8 +384,8 @@ def census(
             cand_counts += np.bincount(face_class, minlength=m + 1)
             eq_counts += np.bincount(face_class[ok], minlength=m + 1)
         cand, eq = cand_counts.tolist(), eq_counts.tolist()
-    expected = [candidates_on_face_class(m, l) for l in range(m + 1)]
-    if cand != expected:
+    if tuple(cand) != _candidates_per_class(m):
+        expected = list(_candidates_per_class(m))
         raise RuntimeError(f"candidate counts per face class are {cand}, expected {expected}")
     return CensusReport(m, method, cand, eq, counted_by)
 

@@ -8,12 +8,18 @@ table of 2^m utilities in lexicographic order of the pure profiles
 Games come in two arithmetic modes.  "exact" games carry Fractions and feed
 the combinatorial classification, whose sign decisions must be exact; "float"
 games feed the numeric solver and perturbation experiments.
+
+An exact product game holds its thresholds as integer numerators over one
+common denominator, and its orderings are checked against them in integers.
+Fractions are made only when read: the thresholds by ``CoefficientMatrix.values``
+and the payoff tensor by ``ProductTwoActionGame.tensor``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -142,6 +148,11 @@ def _json_integers(values, name: str) -> list:
     return values
 
 
+def _off_diagonal(m: int) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j) of players 1..m with i != j, i most significant."""
+    return [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+
+
 @dataclass(frozen=True)
 class CharacteristicTuple:
     """Sign vector and per-coordinate threshold orderings of a product game."""
@@ -170,37 +181,58 @@ class CoefficientMatrix:
     """Thresholds a[i, j] in (0,1) for all ordered pairs i != j of players.
 
     For each j, the values a[i, j] over i != j are pairwise distinct; sorting
-    them in descending order recovers the j-th associated permutation.
-    ``denominator`` is the lcm D of their denominators and ``numerators``
-    holds the integers a[i, j] * D, for exact integer arithmetic.
+    them in descending order recovers the j-th associated permutation.  The
+    matrix holds them exactly as integers over one common denominator:
+    ``denominator`` is D and ``numerators[(i, j)]`` the integer a[i, j] * D.
+    ``values``, the thresholds as Fractions, is made on first read.
     """
 
     def __init__(self, m: int, values: Mapping[tuple[int, int], Fraction]):
-        self.m = m
-        self.values: dict[tuple[int, int], Fraction] = {}
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
-                    continue
-                try:
-                    a = values[(i, j)]
-                except KeyError:
-                    raise ValueError(f"missing coefficient for pair ({i},{j})") from None
-                if type(a) is not Fraction:
-                    a = Fraction(a)
-                # in lowest terms with a positive denominator: 0 < a < 1
-                if not 0 < a.numerator < a.denominator:
-                    raise ValueError(f"coefficient a[{i},{j}] = {a} outside (0,1)")
-                self.values[(i, j)] = a
-        self.denominator = math.lcm(*(a.denominator for a in self.values.values()))
-        self.numerators = {
-            key: a.numerator * (self.denominator // a.denominator)
-            for key, a in self.values.items()
+        fractions = {}
+        for i, j in _off_diagonal(m):
+            try:
+                a = values[(i, j)]
+            except KeyError:
+                raise ValueError(f"missing coefficient for pair ({i},{j})") from None
+            fractions[(i, j)] = a if type(a) is Fraction else Fraction(a)
+        denominator = math.lcm(*(a.denominator for a in fractions.values()))
+        numerators = {
+            key: a.numerator * (denominator // a.denominator) for key, a in fractions.items()
         }
-        for j in range(1, m + 1):
-            column = [self.numerators[(i, j)] for i in range(1, m + 1) if i != j]
-            if len(set(column)) != len(column):
-                raise ValueError(f"coefficients a[.,{j}] are not pairwise distinct")
+        self._store(m, numerators, denominator)
+
+    @classmethod
+    def _from_numerators(
+        cls, m: int, numerators: dict[tuple[int, int], int], denominator: int
+    ) -> "CoefficientMatrix":
+        """The matrix a[i, j] = ``numerators[(i, j)]`` / ``denominator``, D >= 1."""
+        matrix = cls.__new__(cls)
+        matrix._store(m, numerators, denominator)
+        return matrix
+
+    def _store(self, m: int, numerators: dict[tuple[int, int], int], denominator: int):
+        """Keep the integers, once 0 < a[i, j] < 1 and each column's values are distinct.
+
+        ``numerators`` holds one entry for every off-diagonal pair, and is kept.
+        """
+        entries = numerators.values()
+        if entries and not (min(entries) > 0 and max(entries) < denominator):
+            for i, j in _off_diagonal(m):
+                if not 0 < numerators[(i, j)] < denominator:
+                    a = Fraction(numerators[(i, j)], denominator)
+                    raise ValueError(f"coefficient a[{i},{j}] = {a} outside (0,1)")
+        if len({(j, n) for (_, j), n in numerators.items()}) < len(numerators):
+            for j in range(1, m + 1):
+                column = [numerators[(i, j)] for i in range(1, m + 1) if i != j]
+                if len(set(column)) != len(column):
+                    raise ValueError(f"coefficients a[.,{j}] are not pairwise distinct")
+        self.m = m
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @cached_property
+    def values(self) -> dict[tuple[int, int], Fraction]:
+        return {key: Fraction(n, self.denominator) for key, n in self.numerators.items()}
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.values[key]
@@ -245,16 +277,17 @@ def default_coefficients(ctuple: CharacteristicTuple) -> CoefficientMatrix:
     """Equally spaced thresholds a[i,j] = (m+1 - sigma^j(i)) / (m+1).
 
     Any choice realizing the orderings would do; this one keeps every
-    denominator at m+1.
+    denominator at m+1, so the numerators are m+1 - sigma^j(i) over D = m+1.
     """
     m = ctuple.m
-    values = {}
-    for j in range(1, m + 1):
-        s = ctuple.sigma[j - 1]
-        for i in range(1, m + 1):
-            if i != j:
-                values[(i, j)] = Fraction(m + 1 - s(i), m + 1)
-    return CoefficientMatrix(m, values)
+    numerators = {
+        (i, j): m + 1 - x
+        for j, s in enumerate(ctuple.sigma, start=1)
+        for i, x in enumerate(s.images, start=1)
+        if i != j
+    }
+    # at m = 1 there is no threshold, and D is 1, the lcm of no denominators
+    return CoefficientMatrix._from_numerators(m, numerators, m + 1 if numerators else 1)
 
 
 class ProductTwoActionGame:
@@ -269,12 +302,19 @@ class ProductTwoActionGame:
     def __init__(self, ctuple: CharacteristicTuple, coeffs: CoefficientMatrix):
         if coeffs.m != ctuple.m:
             raise ValueError("coefficient matrix size does not match tuple")
-        for j in range(1, ctuple.m + 1):
-            recovered = coeffs.column_permutation(j)
-            if recovered != ctuple.sigma[j - 1]:
+        numerators = coeffs.numerators
+        for j, s in enumerate(ctuple.sigma, start=1):
+            # a[., j]'s numerators, listed by their player's image under
+            # sigma_j, must fall strictly; sigma_j fixes j
+            column = [0] * ctuple.m
+            for i, x in enumerate(s.images, start=1):
+                if i != j:
+                    column[x - 1] = numerators[(i, j)]
+            del column[j - 1]
+            if any(map(operator.le, column, column[1:])):
                 raise ValueError(
-                    f"coefficients a[.,{j}] realize {recovered!r}, "
-                    f"not the requested {ctuple.sigma[j - 1]!r}"
+                    f"coefficients a[.,{j}] realize {coeffs.column_permutation(j)!r}, "
+                    f"not the requested {s!r}"
                 )
         self.ctuple = ctuple
         self.coeffs = coeffs

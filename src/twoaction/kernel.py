@@ -29,10 +29,15 @@ p = m - s, and a tail, the last s, and pair, for each s-set R of values,
 every ordering of the other values on the head with every ordering of R on
 the tail (``halves(m, s)``).  A table's XOR or OR over a permutation's cells
 is that of its head's and its tail's (``split_reduce``), and its k fixed
-points are the h of its head and the t of its tail.  The streaming blocks
-of ``candidate_engine`` take s = ``suffix_len(m)``, one head ordering a
-block, and visit the heads in lexicographic order, so every block lists its
-s! permutations, and all blocks the m!, in lexicographic order.
+points are the h of its head and the t of its tail.  A half is reduced from
+its cells ``[position, value, set]``, one position at a time
+(``reduce_orderings``).  The kernel's cells are planned once per m, as flat
+indices ``position * m + value`` in the order of its plan (below,
+``census_cells``), so each half of a census is one ``take`` of its codes
+before that reduction.  The streaming blocks of ``candidate_engine`` take
+s = ``suffix_len(m)``, one head ordering a block, and visit the heads in
+lexicographic order, so every block lists its s! permutations, and all
+blocks the m!, in lexicographic order.
 
 The kernel only counts, so it needs no order.  It takes s = ceil(m/2) and
 groups the value sets by their number j of own values, those that are
@@ -80,47 +85,35 @@ def orderings(n: int) -> np.ndarray:
     return orders
 
 
-def reduce_orderings(
-    table: np.ndarray, positions: np.ndarray, sets: np.ndarray, op: np.ufunc
-) -> np.ndarray:
+def reduce_orderings(cells: np.ndarray, op: np.ufunc) -> np.ndarray:
     """``op`` over the cells of every ordering of every value set on n positions.
 
-    ``sets[r]`` holds n values, and ``positions`` the n positions, shared
-    (shape ``(n,)``) or one row a set.  ``out[r, c]`` reduces
-    ``table[positions[q], sets[r, orders[q, c]]]`` over q, with
-    ``orders = orderings(n)``.
+    ``cells[q, a, r]`` is the cell of the r-th set's q-th position taking
+    the set's a-th value.  ``out[r, c]`` reduces ``cells[q, orders[q, c], r]``
+    over q, with ``orders = orderings(n)``.
     """
-    rows = np.broadcast_to(positions, sets.shape).T
-    cells = table[rows[:, None, :], sets.T[None, :, :]]  # [q, a, r]
-    orders = orderings(sets.shape[1])
-    out = np.zeros((orders.shape[1], len(sets)), dtype=table.dtype)
+    orders = orderings(len(cells))
+    out = np.zeros((orders.shape[1], cells.shape[2]), dtype=cells.dtype)
     for q, order in enumerate(orders):  # [ordering, set]: whole rows gather fastest
         op(out, cells[q].take(order, axis=0), out=out)
     return np.ascontiguousarray(out.T)
 
 
-@functools.lru_cache(maxsize=2)  # one m a census, s = ceil(m/2) or suffix_len(m); 1.3 MB at m = 12
-def halves(m: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=2)  # one m a census, s = ceil(m/2) or suffix_len(m); 11 kB at m = 12
+def halves(m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The value sets of a head, the first p = m - s positions, and a tail, the last s.
 
     ``tail_sets[r]`` is the r-th s-set of values and ``head_sets[r]`` the
-    other p values, both increasing.  ``head_fixed[r, i]`` is the number of
-    fixed points of the i-th ordering of ``head_sets[r]`` on the head, and
-    ``tail_fixed[r, c]`` that of the c-th ordering of ``tail_sets[r]`` on the
-    tail, in the order of ``reduce_orderings``.
+    other p values, both increasing.
     """
     chosen = list(itertools.combinations(range(m), s))
     tail_sets = np.array(chosen, dtype=np.int8).reshape(len(chosen), s)
     head_sets = np.array(
         [[a for a in range(m) if a not in values] for values in chosen], dtype=np.int8
     ).reshape(len(chosen), m - s)
-    eye = np.eye(m, dtype=np.int8)
-    head_fixed = reduce_orderings(eye, np.arange(m - s), head_sets, np.add)
-    tail_fixed = reduce_orderings(eye, np.arange(m - s, m), tail_sets, np.add)
-    tables = head_sets, tail_sets, head_fixed, tail_fixed
-    for table in tables:  # cached: every census of this m shares them
+    for table in (head_sets, tail_sets):  # cached: every census of this m shares them
         table.flags.writeable = False
-    return tables
+    return head_sets, tail_sets
 
 
 def split_reduce(table: np.ndarray, s: int, op: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +125,11 @@ def split_reduce(table: np.ndarray, s: int, op: np.ufunc) -> tuple[np.ndarray, n
     ordering of ``tail_sets[r]``, so that pair reduces to
     ``op(head[r, i], tail[r, c])``.
     """
-    head_sets, tail_sets, _, _ = halves(len(table), s)
+    head_sets, tail_sets = halves(len(table), s)
     p = head_sets.shape[1]
     return (
-        reduce_orderings(table, np.arange(p), head_sets, op),
-        reduce_orderings(table, np.arange(p, len(table)), tail_sets, op),
+        reduce_orderings(table[np.arange(p)[:, None, None], head_sets.T], op),
+        reduce_orderings(table[np.arange(p, len(table))[:, None, None], tail_sets.T], op),
     )
 
 
@@ -227,7 +220,7 @@ def census_plan(m: int) -> Plan:
     """
     s = (m + 1) // 2
     p = m - s
-    head_sets, tail_sets, _, _ = halves(m, s)
+    head_sets, tail_sets = halves(m, s)
     own_tail = (tail_sets >= p).sum(axis=1)
     sets = np.argsort(own_tail, kind="stable")
     groups, blocks, skipped = [], [], [0, 0]
@@ -258,6 +251,29 @@ def census_plan(m: int) -> Plan:
     for table in tables + [table for group in groups for table in group[1:]]:
         table.flags.writeable = False  # cached: every census of this m shares them
     return plan
+
+
+@functools.lru_cache(maxsize=2)  # one m a census; 532 kB at m = 12
+def census_cells(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's head and tail cells, as flat indices ``position * m + value``.
+
+    ``head[q, a, r]`` indexes the cell of the r-th set of ``census_plan(m)``
+    whose q-th head position, ``head_positions[r, q]``, takes the set's a-th
+    head value, so ``codes.ravel().take(head)`` is what ``reduce_orderings``
+    reduces.  Likewise for the tail.
+    """
+    plan = census_plan(m)
+    head_sets, tail_sets = halves(m, (m + 1) // 2)
+    tables = tuple(
+        positions.T.astype(np.intp)[:, None, :] * m + sets[plan.sets].T
+        for positions, sets in (
+            (plan.head_positions, head_sets),
+            (plan.tail_positions, tail_sets),
+        )
+    )
+    for table in tables:  # cached: every census of this m shares them
+        table.flags.writeable = False
+    return tables
 
 
 def _tally_block(head, tail, runs, m: int, perms: list[int], passing: list[int]) -> None:
@@ -303,13 +319,12 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     codes = order_masks(np.reshape(sigma, (m, m)))
     codes[np.arange(m), np.arange(m)] = np.int64(1) << np.arange(m, 2 * m)
     codes[0] ^= sum(1 << i for i in range(m) if not v[i])
-    codes = codes.astype(dtype)
+    codes = codes.astype(dtype).ravel()
     s = (m + 1) // 2
-    head_sets, tail_sets, _, _ = halves(m, s)
     plan = census_plan(m)
-    head_sets, tail_sets = head_sets.take(plan.sets, axis=0), tail_sets.take(plan.sets, axis=0)
-    head = reduce_orderings(codes, plan.head_positions, head_sets, np.bitwise_xor)
-    tail = reduce_orderings(codes, plan.tail_positions, tail_sets, np.bitwise_xor)
+    head_cells, tail_cells = census_cells(m)
+    head = reduce_orderings(codes.take(head_cells), np.bitwise_xor)
+    tail = reduce_orderings(codes.take(tail_cells), np.bitwise_xor)
 
     # per k = h + t: pairs tested, and those that pass; every pair with k <= 1 passes
     perms, passing = [0] * (m + 1), [0] * (m + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from twoaction.game_model import (
     perturb,
     save_game,
 )
+from twoaction.cli import main
 
 F = Fraction
 
@@ -292,6 +294,93 @@ class TestProductGame:
         )
         with pytest.raises(ValueError):
             ProductTwoActionGame(t, wrong)
+
+
+def _pinned_games(random_characteristic_tuple):
+    """maximal_game(1..9) and 30 seeded random product games with m = 1..9."""
+    rng = random.Random(26)
+    games = [maximal_game(m) for m in range(1, 10)]
+    for _ in range(30):
+        games.append(build_product_game(random_characteristic_tuple(rng.randint(1, 9), rng)))
+    return games
+
+
+# Edits of maximal_game(4)'s thresholds, and the error each must raise.  The
+# texts are those of the Fraction-based checks the integer checks replaced.
+REFUSED_EDITS = [
+    (
+        {"2,1": "1/5", "4,1": "3/5"},
+        "coefficients a[.,1] realize Permutation([1, 4, 3, 2]), "
+        "not the requested Permutation([1, 2, 3, 4])",
+    ),
+    (
+        {"3,2": "2/5", "4,2": "4/5"},
+        "coefficients a[.,2] realize Permutation([4, 2, 3, 1]), "
+        "not the requested Permutation([4, 2, 1, 3])",
+    ),
+    ({"3,2": "6/5"}, "coefficient a[3,2] = 6/5 outside (0,1)"),
+    ({"3,2": "0/5"}, "coefficient a[3,2] = 0 outside (0,1)"),
+    ({"4,3": "3/5"}, "coefficients a[.,3] are not pairwise distinct"),
+]
+
+
+class TestIntegerThresholds:
+    def test_kernel_census_makes_no_fraction(self, random_characteristic_tuple):
+        rng = random.Random(5)
+        tuples = [maximal_game(9).ctuple]
+        tuples += [random_characteristic_tuple(rng.randint(1, 9), rng) for _ in range(5)]
+        for ctuple in tuples:
+            game = build_product_game(ctuple)
+            census(game, "increment")
+            assert "values" not in vars(game.coeffs)
+            assert "tensor" not in vars(game)
+
+    def test_values_are_made_once_on_read(self, random_characteristic_tuple):
+        for game in _pinned_games(random_characteristic_tuple):
+            m, sigma = game.m, game.ctuple.sigma
+            assert "values" not in vars(game.coeffs)
+            assert game.coeffs.denominator == (m + 1 if m > 1 else 1)
+            values = game.coeffs.values
+            assert values == {
+                (i, j): F(m + 1 - sigma[j - 1](i), m + 1)
+                for i in range(1, m + 1)
+                for j in range(1, m + 1)
+                if i != j
+            }
+            assert all(type(a) is Fraction for a in values.values())
+            assert vars(game.coeffs)["values"] is values
+            assert game.coeffs.values is values
+
+    def test_product_files_are_unchanged(self, random_characteristic_tuple):
+        # the text of every file, as the Fraction-based matrix wrote it
+        games = _pinned_games(random_characteristic_tuple)
+        text = "".join(json.dumps(game.to_dict(), indent=1) + "\n" for game in games)
+        digest = "65b780c86ed058654d108884f4b7ddd963515b7204da3b686010d614731f2634"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("edit, message", REFUSED_EDITS)
+    def test_refused_thresholds_raise_the_same_error(self, edit, message, tmp_path, capsys):
+        game = maximal_game(4)
+        data = game.to_dict()
+        data["product"]["a"].update(edit)
+        values = {
+            tuple(int(x) for x in key.split(",")): F(text)
+            for key, text in data["product"]["a"].items()
+        }
+        with pytest.raises(ValueError) as exc:
+            ProductTwoActionGame(game.ctuple, CoefficientMatrix(4, values))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            build_product_game(game.ctuple, CoefficientMatrix(4, values))
+        assert str(exc.value) == message
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as exc:
+            load_game(path)
+        assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["classify", str(path), "--method", "increment"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestPerturbAndSerialization:

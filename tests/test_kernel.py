@@ -88,7 +88,7 @@ def _sizes(m):
 
 def _pairs(m, s):
     """Every pair of ``halves(m, s)`` as (r, i, c, permutation), in the tables' order."""
-    head_sets, tail_sets, _, _ = kernel.halves(m, s)
+    head_sets, tail_sets = kernel.halves(m, s)
     head_orders, tail_orders = kernel.orderings(m - s), kernel.orderings(s)
     for r in range(len(tail_sets)):
         for i in range(head_orders.shape[1]):
@@ -149,11 +149,25 @@ class TestWalk:
                 assert got == expected
 
 
+def _fixed_points(m, s):
+    """The fixed points of every head and tail ordering of ``halves(m, s)``.
+
+    ``head_fixed[r, i]`` counts the head positions q that the i-th ordering
+    of ``head_sets[r]`` maps to q, and ``tail_fixed[r, c]`` likewise for the
+    c-th ordering of ``tail_sets[r]`` on the tail positions.
+    """
+    head_sets, tail_sets = kernel.halves(m, s)
+    p = m - s
+    head = head_sets[:, kernel.orderings(p)] == np.arange(p)[:, None]  # [r, q, i]
+    tail = tail_sets[:, kernel.orderings(s)] == np.arange(p, m)[:, None]
+    return head.sum(axis=1), tail.sum(axis=1)
+
+
 class TestHalves:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_pairs_list_every_permutation_once(self, m):
         for s in range(m + 1):
-            _, _, head_fixed, tail_fixed = kernel.halves(m, s)
+            head_fixed, tail_fixed = _fixed_points(m, s)
             perms = []
             for r, i, c, pi in _pairs(m, s):
                 fixed = sum(a == j for j, a in enumerate(pi))
@@ -165,7 +179,7 @@ class TestHalves:
     def test_fixed_point_counts_follow_the_closed_form(self, m):
         # C(m, k) !(m - k) permutations have k fixed points, so as many pairs have h + t = k
         for s in _sizes(m):
-            _, _, head_fixed, tail_fixed = kernel.halves(m, s)
+            head_fixed, tail_fixed = _fixed_points(m, s)
             per_k = [0] * (m + 1)
             for head_row, tail_row in zip(head_fixed, tail_fixed):
                 for h, heads in enumerate(np.bincount(head_row).tolist()):
@@ -174,8 +188,9 @@ class TestHalves:
             assert per_k == [math.comb(m, k) * subfactorial(m - k) for k in range(m + 1)]
 
     def test_cache_is_bounded_read_only_and_small(self):
-        # the cache keeps int8 counts per (m, s), never a float one-hot: at
-        # m = 12 about 1.3 MB, and the kernel reads orderings(6) for both halves
+        # the cache keeps the int8 value sets per (m, s), never a float
+        # one-hot or a per-ordering table: at m = 12 the 924 sets of 6 values
+        # of each half, and the kernel reads orderings(6) for both halves
         maxsize = kernel.halves.cache_info().maxsize
         assert maxsize is not None and 1 <= maxsize <= 4
         kernel.halves.cache_clear()
@@ -188,10 +203,32 @@ class TestHalves:
         assert kernel.halves.cache_info().currsize == 1
         assert kernel.orderings.cache_info().currsize == 1
         cached = (*kernel.halves(12, 6), kernel.orderings(6))
-        assert sum(table.nbytes for table in cached) <= 4 << 20
+        assert sum(table.nbytes for table in cached) == 2 * 924 * 6 + 6 * 720
         for table in cached:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
+
+    def test_cell_cache_is_bounded_read_only_and_small(self):
+        # the kernel's flat cell indices depend on m alone: at m = 12, per
+        # half, 6 positions x 6 values x 924 sets (intp)
+        maxsize = kernel.census_cells.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 4
+        cached = kernel.census_cells(12)
+        assert all(table.dtype == np.intp for table in cached)
+        assert [table.shape for table in cached] == [(6, 6, 924), (6, 6, 924)]
+        assert sum(table.nbytes for table in cached) == 2 * 6 * 6 * 924 * 8
+        for table in cached:
+            assert 0 <= table.min() and table.max() < 12 * 12
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        # one m a census: a sweep keeps no more than maxsize tables, and a repeat hits
+        kernel.census_cells.cache_clear()
+        for m in range(2, 13):
+            kernel.census_cells(m)
+        info = kernel.census_cells.cache_info()
+        assert info.currsize <= info.maxsize
+        kernel.census_cells(12)
+        assert kernel.census_cells.cache_info().misses == info.misses
 
     def test_plan_cache_is_bounded_read_only_and_small(self):
         # the kernel's plan keeps integers only, never a float one-hot: the
@@ -223,7 +260,7 @@ class TestHalves:
 def _plan_pairs(m):
     """Every pair of ``census_plan(m)`` as (group, sorted head i, sorted tail c, permutation)."""
     s = (m + 1) // 2
-    head_sets, tail_sets, _, _ = kernel.halves(m, s)
+    head_sets, tail_sets = kernel.halves(m, s)
     plan = kernel.census_plan(m)
     head_orders, tail_orders = kernel.orderings(m - s), kernel.orderings(s)
     for n, g in enumerate(plan.groups):
