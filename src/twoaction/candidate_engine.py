@@ -21,12 +21,14 @@ permutation (``CandidateBlock.candidates``).
 
 Each route turns its table into one mask per (position, image), split into
 a head and a tail by ``kernel.split_reduce`` once per census, so a
-permutation's ``C = XOR_j CM[j, pi(j)]`` for increment, and ``X = XOR_j
+permutation's ``X = XOR_j code[j, pi(j)]`` for increment, and ``X = XOR_j
 NEG[j, pi(j)]`` for sign, take one operation each.  Per candidate a route
 takes a few operations on its fixed-point mask F and the mask B of its
-boundary players at value 1.  The increment route evaluates the full parity
-at every fixed point, so it does not share the census kernel's
-all-or-nothing shortcut and checks the kernel independently.
+boundary players at value 1.  The increment route reads the census
+kernel's packed table, ``kernel.increment_codes``, but not its
+all-or-nothing shortcut: it evaluates the full parity at every fixed point
+of every candidate.  The sign route, which never reads the orderings, and
+the pure-Python census of the tests are the kernel's independent checks.
 
 Agreement of the two routes on every candidate is the engine's standing
 regression check.  The per-candidate versions of both routes, the scalar
@@ -232,20 +234,20 @@ def sign_masks(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def classify_by_increment(masks, block: CandidateBlock) -> np.ndarray:
     """Per candidate, True iff it is an equilibrium by the increment criterion.
 
-    ``masks`` is ``kernel.split_reduce(CM, np.bitwise_xor)``, where ``CM`` is
-    ``kernel.order_masks`` of the orderings with the sign vector's mask V
-    XORed into position 0; the threshold values never enter.  At every fixed
-    point i the increment ``1 + b_i + v_i + zeros_excl_self + c_i`` must be
-    even, where ``c_i = #{j moved: sigma_j(pi(j)) >= sigma_j(i)}``.  Bit i of
-    ``C = V XOR_j CM[j, pi(j)]`` is the parity of ``v_i + c_i``.
+    ``masks`` is ``kernel.split_reduce`` of ``kernel.increment_codes`` by
+    XOR, the census kernel's packed table; the threshold values never enter.
+    At every fixed point i the increment ``1 + b_i + v_i + zeros_excl_self +
+    c_i`` must be even, where ``c_i = #{j moved: sigma_j(pi(j)) >=
+    sigma_j(i)}``.  Bit i of ``X = XOR_j code[j, pi(j)]`` is the parity of
+    ``1 + v_i + c_i``; ``& fixed`` drops X's fixed-point bits, above bit m.
     """
     head, tail = masks
-    c = head[block.r, block.i] ^ tail[block.r]
+    x = head[block.r, block.i] ^ tail[block.r]
     fixed, ones = block.F, block.B
     zeros = fixed & ~ones
     # zeros_excl_self mod 2 at fixed point i: the parity of all zeros, XOR i's own zero
     all_zeros = (np.bitwise_count(zeros) & 1) * fixed
-    odd = ~ones ^ all_zeros ^ zeros ^ c[block.owner]
+    odd = ones ^ all_zeros ^ zeros ^ x[block.owner]
     return (odd & fixed) == 0
 
 
@@ -281,9 +283,8 @@ def classified_blocks(
         raise ValueError(f"unknown method {method!r}")
     s = kernel.suffix_len(game.m)
     if method != "sign":
-        cm = kernel.order_masks([sigma_j.images for sigma_j in game.ctuple.sigma])
-        cm[0] ^= sum(int(b) << i for i, b in enumerate(game.ctuple.v))
-        inc_masks = kernel.split_reduce(cm, s, np.bitwise_xor)
+        codes = kernel.increment_codes(game.ctuple.v, [s_j.images for s_j in game.ctuple.sigma])
+        inc_masks = kernel.split_reduce(codes, s, np.bitwise_xor)
     if method != "increment":
         neg, dt = sign_masks(sign_table(game))
         sgn_masks = kernel.split_reduce(neg, s, np.bitwise_xor), dt

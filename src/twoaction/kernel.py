@@ -19,10 +19,12 @@ criterion.  Two facts keep its pass over all m! permutations short.
   A permutation with fixed-point mask F passes iff ``X & F`` is 0 or F.
 
 Packed codes.  ``code[j, a]`` holds ``M[j, a]`` in its low m bits and, when
-``a == j``, bit ``m + j``; ``1 + v`` is folded into position 0.  The XOR of
-a permutation's codes is then X in the low m bits and F above them, since the
-fixed-point bits of different positions never overlap.  X and F take 2m bits,
-so with a sign bit int32 holds them up to m = 15 and int64 above.
+``a == j``, bit ``m + j``; ``1 + v`` is folded into position 0
+(``increment_codes``).  The XOR of a permutation's codes is then X in the
+low m bits and F above them, since the fixed-point bits of different
+positions never overlap.  X and F take 2m bits, so with a sign bit int32
+holds them up to m = 15 and int64 above.  The streaming increment route of
+``candidate_engine`` splits the same table.
 
 The halves.  Both censuses split the positions into a head, the first
 p = m - s, and a tail, the last s, and pair, for each s-set R of values,
@@ -31,27 +33,30 @@ the tail (``halves(m, s)``).  A table's XOR or OR over a permutation's cells
 is that of its head's and its tail's (``split_reduce``), and its k fixed
 points are the h of its head and the t of its tail.  A half is reduced from
 its cells ``[position, value, set]``, one position at a time
-(``reduce_orderings``).  The kernel's cells are planned once per m, as flat
-indices ``position * m + value`` in the order of its plan (below,
-``census_cells``), so each half of a census is one ``take`` of its codes
-before that reduction.  The streaming blocks of ``candidate_engine`` take
+(``reduce_orderings``).  The kernel's plan holds its cells as flat indices
+``position * m + value`` (below), so each half of a census is one ``take``
+of its codes before that reduction.  The streaming blocks of
+``candidate_engine`` take
 s = ``suffix_len(m)``, one head ordering a block, and visit the heads in
 lexicographic order, so every block lists its s! permutations, and all
 blocks the m!, in lexicographic order.
 
 The kernel only counts, so it needs no order.  It takes s = ceil(m/2) and
 groups the value sets by their number j of own values, those that are
-positions of their own half (``census_plan``).  It relabels each set's
-positions: where the set's q-th value is an own value, that value is its
-q-th position, and the other positions follow in order.  Then an ordering c
-fixes exactly the own slots q with ``orders[q, c] == q``, which depends on
-the group and c alone, and one column order per group and half sorts the
-orderings by their number of fixed points.  A block is a group's head
-orderings with h fixed points against its tail orderings with t >= 2 - h, a
-rectangle of the sorted tables; the blocks hold every pair with h + t >= 2
-once.  A chunk holds whole value sets of a block, or one set's head
+positions of their own half.  It relabels each set's positions: where the
+set's q-th value is an own value, that value is its q-th position, and the
+other positions follow in order.  Then an ordering c fixes exactly the own
+slots q with ``orders[q, c] == q``, which depends on the group and c alone,
+and one column order per group and half sorts the orderings by their number
+of fixed points.  A block is a group's head orderings with h fixed points
+against its tail orderings with t >= 2 - h, a rectangle of the sorted
+tables; the blocks hold every pair with h + t >= 2 once.  One plan per m
+(``census_plan``) holds all a census reads besides its codes: the relabelled
+cells of both halves, in group order, and per group the two column orders
+and the blocks, each as its head slice, its first tail column and its runs
+of equal t.  A chunk holds whole value sets of a block, or one set's head
 orderings in slices, at most CHUNK_ROWS pairs and at least one head
-ordering; it counts the passing pairs of each run of equal t with one
+ordering; it counts the passing pairs of each run with one
 ``count_nonzero``.  The per-k counts of the permutations, which the census
 checks, are those of the chunks tested plus those counted untested.
 """
@@ -133,87 +138,92 @@ def split_reduce(table: np.ndarray, s: int, op: np.ufunc) -> tuple[np.ndarray, n
     )
 
 
-def order_masks(sigma) -> np.ndarray:
-    """``M[j, a]``, the players i with ``sigma_j(a) >= sigma_j(i)``, as bit masks.
+def increment_codes(v, sigma) -> np.ndarray:
+    """The packed codes of the increment criterion, ``code[j, a]`` (see the module docstring).
 
-    ``sigma[j][i]`` is ``sigma_j(i)``; ``M[j, j]`` is empty, as j is then fixed.
+    ``v`` is the 0/1 sign vector and ``sigma[j][i]`` is ``sigma_j(i)``.  The
+    low m bits of ``code[j, a]`` are ``M[j, a]``, the players i with
+    ``sigma_j(a) >= sigma_j(i)``, with ``1 + v`` folded into position 0;
+    ``code[j, j]`` is bit ``m + j`` alone, as j is then fixed.
     """
-    images = np.asarray(sigma, dtype=np.int64)
-    masks = (images[:, :, None] >= images[:, None, :]) @ (np.int64(1) << np.arange(len(images)))
-    np.fill_diagonal(masks, 0)
-    return masks
+    m = len(v)
+    dtype = np.int32 if 2 * m + 1 <= 32 else np.int64
+    images = np.asarray(sigma).reshape(m, m)
+    bits = np.left_shift(1, np.arange(m, dtype=dtype))
+    codes = (images[:, :, None] >= images[:, None, :]) @ bits
+    codes[np.arange(m), np.arange(m)] = bits << m
+    codes[0] ^= sum(1 << i for i in range(m) if not v[i])
+    return codes
 
 
 class Group(NamedTuple):
     """The value sets of a census plan with the same number of own values.
 
-    ``sets`` is the group's slice of the plan's sets.  Relabelled, the i-th
+    ``sets`` is the group's slice of the plan's sets, the last axis of its
+    cells.  Relabelled, the i-th
     head ordering has the same number h of fixed points in every set of the
-    group, and ``head_order`` lists the orderings by h: those with h are
-    ``head_order[head_starts[h] : head_starts[h + 1]]``, h = 0..m.  Likewise
-    for the tail.
+    group, and ``head_order`` lists the orderings by h; likewise the tail's
+    by t.  A block ``(heads, first, runs)`` is the sorted head orderings
+    ``heads``, all with one h, against the sorted tail orderings from
+    ``first`` on, those with t >= 2 - h; ``runs`` lists (k, a, b) for the
+    block's tail columns ``a:b``, whose pairs have k = h + t fixed points.
     """
 
     sets: slice
     head_order: np.ndarray
-    head_starts: np.ndarray
     tail_order: np.ndarray
-    tail_starts: np.ndarray
-
-
-class Block(NamedTuple):
-    """A group's head orderings with h fixed points against its tail orderings with t >= 2 - h."""
-
-    group: int
-    h: int
+    blocks: tuple[tuple[slice, int, tuple[tuple[int, int, int], ...]], ...]
 
 
 class Plan(NamedTuple):
-    """The pairs the kernel tests, as blocks, and the number it counts untested.
+    """The kernel's cells and blocks, and the number of pairs it counts untested.
 
-    ``sets`` lists the rows of ``halves(m, ceil(m/2))`` group by group.
-    Under ordering c, position ``head_positions[r, q]`` takes the value
-    ``head_sets[sets[r], orders[q, c]]``.  Where that set's q-th value is a
-    head position (an own value), ``head_positions[r, q]`` is that value, so
-    c fixes exactly the own slots q with ``orders[q, c] == q``.  Likewise
-    for the tail.
-    ``blocks`` hold every pair with h + t >= 2 once, and ``skipped[k]`` is
-    the number of pairs with h + t = k, for k = 0 and 1.
+    ``head_cells[q, a, r]`` is the flat cell ``position * m + value`` of the
+    r-th set, in group order, whose q-th head position takes the set's a-th
+    head value, so ``codes.ravel().take(head_cells)`` is what
+    ``reduce_orderings`` reduces.  Where that value is a head position (an
+    own value), it is the q-th position, so an ordering c fixes exactly the
+    own slots q with ``orders[q, c] == q``.  Likewise for the tail.  The
+    groups' blocks hold every pair with h + t >= 2 once, and ``skipped[k]``
+    is the number of pairs with h + t = k, for k = 0 and 1.
     """
 
-    sets: np.ndarray
-    head_positions: np.ndarray
-    tail_positions: np.ndarray
+    head_cells: np.ndarray
+    tail_cells: np.ndarray
     groups: tuple[Group, ...]
-    blocks: tuple[Block, ...]
     skipped: tuple[int, int]
 
 
-def _own_positions(sets: np.ndarray, first: int) -> np.ndarray:
-    """Each set's n positions ``first..first+n-1``: own values in their slots, the rest in order."""
+def _own_cells(sets: np.ndarray, first: int, m: int) -> np.ndarray:
+    """The flat cells ``[q, a, r]`` of the sets ``sets[r]`` of n values on positions ``first..``.
+
+    The r-th set's q-th position takes its a-th value in cell ``[q, a, r]``.
+    Each set's own values are the positions of their own slots, and the
+    other positions follow in order.
+    """
     positions = np.arange(first, first + sets.shape[1], dtype=sets.dtype)
     own = (sets >= first) & (sets < first + len(positions))
     free = ~(positions[:, None] == sets[:, None, :]).any(axis=2)
     relabelled = sets.copy()
     relabelled[~own] = np.broadcast_to(positions, free.shape)[free]
-    return relabelled
+    return relabelled.T.astype(np.intp)[:, None, :] * m + sets.T
 
 
-def _sorted_orderings(own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_orderings(own: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The orderings of ``len(own)`` slots by their fixed points among the ``own`` slots.
 
-    Returns the orderings' indices in that order, and their fixed points.
+    Returns the orderings' indices in that order, and how many of them have
+    f fixed points, for f = 0, 1 and up to the most.
     """
     orders = orderings(len(own))
     slots = np.flatnonzero(own)
     fixed = (orders[slots] == slots[:, None]).sum(axis=0)
-    order = np.argsort(fixed, kind="stable")
-    return order, fixed[order]
+    return np.argsort(fixed, kind="stable"), np.bincount(fixed, minlength=2).tolist()
 
 
-@functools.lru_cache(maxsize=2)  # one m a census; 100 kB at m = 12
+@functools.lru_cache(maxsize=2)  # one m a census; 613 kB at m = 12
 def census_plan(m: int) -> Plan:
-    """The kernel's groups and blocks, with s = ceil(m/2) and p = m - s.
+    """The kernel's cells, groups and blocks, with s = ceil(m/2) and p = m - s.
 
     A set's own values are those that are positions of its half.  A group
     holds the sets with j own tail values, and so j - s + p own head values.
@@ -223,57 +233,41 @@ def census_plan(m: int) -> Plan:
     head_sets, tail_sets = halves(m, s)
     own_tail = (tail_sets >= p).sum(axis=1)
     sets = np.argsort(own_tail, kind="stable")
-    groups, blocks, skipped = [], [], [0, 0]
+    groups, skipped = [], [0, 0]
     bounds = np.cumsum(np.bincount(own_tail)).tolist()
     for first, stop in zip([0, *bounds], bounds):
         if first == stop:
             continue
-        head_order, head_fixed = _sorted_orderings(head_sets[sets[first]] < p)
-        tail_order, tail_fixed = _sorted_orderings(tail_sets[sets[first]] >= p)
-        head_starts = np.searchsorted(head_fixed, np.arange(m + 2))
-        tail_starts = np.searchsorted(tail_fixed, np.arange(m + 2))
-        heads, tails = np.diff(head_starts), np.diff(tail_starts)  # orderings per h, per t
-        for h in np.flatnonzero(heads).tolist():
-            if tail_starts[max(0, 2 - h)] < tail_starts[-1]:
-                blocks.append(Block(len(groups), h))
-        skipped[0] += (stop - first) * int(heads[0] * tails[0])
-        skipped[1] += (stop - first) * int(heads[0] * tails[1] + heads[1] * tails[0])
-        groups.append(Group(slice(first, stop), head_order, head_starts, tail_order, tail_starts))
+        head_order, heads = _sorted_orderings(head_sets[sets[first]] < p)
+        tail_order, tails = _sorted_orderings(tail_sets[sets[first]] >= p)
+        # the sorted orderings with f fixed points are starts[f] : starts[f + 1]
+        head_starts = [0, *itertools.accumulate(heads)]
+        tail_starts = [0, *itertools.accumulate(tails)]
+        blocks = []
+        for h, n in enumerate(heads):
+            t0 = max(0, 2 - h)
+            tail0 = tail_starts[t0]
+            runs = tuple(  # the tail orderings with t fixed points, and k = h + t
+                (h + t, tail_starts[t] - tail0, tail_starts[t + 1] - tail0)
+                for t in range(t0, len(tails))
+                if tails[t]
+            )
+            if n and runs:
+                blocks.append((slice(head_starts[h], head_starts[h + 1]), tail0, runs))
+        skipped[0] += (stop - first) * heads[0] * tails[0]
+        skipped[1] += (stop - first) * (heads[0] * tails[1] + heads[1] * tails[0])
+        groups.append(Group(slice(first, stop), head_order, tail_order, tuple(blocks)))
     plan = Plan(
-        sets,
-        _own_positions(head_sets[sets], 0),
-        _own_positions(tail_sets[sets], p),
+        _own_cells(head_sets[sets], 0, m),
+        _own_cells(tail_sets[sets], p, m),
         tuple(groups),
-        tuple(blocks),
         tuple(skipped),
     )
-    tables = [plan.sets, plan.head_positions, plan.tail_positions]
-    for table in tables + [table for group in groups for table in group[1:]]:
+    tables = [plan.head_cells, plan.tail_cells]
+    tables += [table for g in groups for table in (g.head_order, g.tail_order)]
+    for table in tables:
         table.flags.writeable = False  # cached: every census of this m shares them
     return plan
-
-
-@functools.lru_cache(maxsize=2)  # one m a census; 532 kB at m = 12
-def census_cells(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's head and tail cells, as flat indices ``position * m + value``.
-
-    ``head[q, a, r]`` indexes the cell of the r-th set of ``census_plan(m)``
-    whose q-th head position, ``head_positions[r, q]``, takes the set's a-th
-    head value, so ``codes.ravel().take(head)`` is what ``reduce_orderings``
-    reduces.  Likewise for the tail.
-    """
-    plan = census_plan(m)
-    head_sets, tail_sets = halves(m, (m + 1) // 2)
-    tables = tuple(
-        positions.T.astype(np.intp)[:, None, :] * m + sets[plan.sets].T
-        for positions, sets in (
-            (plan.head_positions, head_sets),
-            (plan.tail_positions, tail_sets),
-        )
-    )
-    for table in tables:  # cached: every census of this m shares them
-        table.flags.writeable = False
-    return tables
 
 
 def _tally_block(head, tail, runs, m: int, perms: list[int], passing: list[int]) -> None:
@@ -315,37 +309,22 @@ def census_increment(m: int, v, sigma) -> tuple[list[int], list[int]]:
     values).  Returns (candidates, equilibria) as lists of Python ints, both
     indexed by the face class l = number of boundary coordinates.
     """
-    dtype = np.int32 if 2 * m + 1 <= 32 else np.int64
-    codes = order_masks(np.reshape(sigma, (m, m)))
-    codes[np.arange(m), np.arange(m)] = np.int64(1) << np.arange(m, 2 * m)
-    codes[0] ^= sum(1 << i for i in range(m) if not v[i])
-    codes = codes.astype(dtype).ravel()
-    s = (m + 1) // 2
     plan = census_plan(m)
-    head_cells, tail_cells = census_cells(m)
-    head = reduce_orderings(codes.take(head_cells), np.bitwise_xor)
-    tail = reduce_orderings(codes.take(tail_cells), np.bitwise_xor)
+    codes = increment_codes(v, sigma).ravel()
+    head = reduce_orderings(codes.take(plan.head_cells), np.bitwise_xor)
+    tail = reduce_orderings(codes.take(plan.tail_cells), np.bitwise_xor)
 
     # per k = h + t: pairs tested, and those that pass; every pair with k <= 1 passes
     perms, passing = [0] * (m + 1), [0] * (m + 1)
     perms[:2] = passing[:2] = plan.skipped
-    current = None
-    for group, h in plan.blocks:
-        g = plan.groups[group]
-        if group != current:  # the group's [set, sorted ordering] tables; drop the last first
-            current, group_head, group_tail = group, None, None
-            group_head = head[g.sets].take(g.head_order, axis=1)
-            group_tail = tail[g.sets].take(g.tail_order, axis=1)
-            head_starts, tail_starts = g.head_starts.tolist(), g.tail_starts.tolist()
-        t0 = max(0, 2 - h)
-        first = tail_starts[t0]
-        runs = [  # the block's tail orderings with t fixed points, and k = h + t
-            (h + t, tail_starts[t] - first, tail_starts[t + 1] - first)
-            for t in range(t0, s + 1)
-            if tail_starts[t] < tail_starts[t + 1]
-        ]
-        block_head = group_head[:, head_starts[h] : head_starts[h + 1]]
-        _tally_block(block_head, group_tail[:, first:], runs, m, perms, passing)
+    for g in plan.groups:
+        if not g.blocks:
+            continue
+        group_head = group_tail = None  # the last group's tables go before these are built
+        group_head = head[g.sets].take(g.head_order, axis=1)  # [set, sorted ordering]
+        group_tail = tail[g.sets].take(g.tail_order, axis=1)
+        for heads, first, runs in g.blocks:
+            _tally_block(group_head[:, heads], group_tail[:, first:], runs, m, perms, passing)
 
     cand = [n << k for k, n in enumerate(perms)]
     eq = [perms[0]] + [n << (k - 1) for k, n in enumerate(passing) if k]

@@ -208,45 +208,29 @@ class TestHalves:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
-    def test_cell_cache_is_bounded_read_only_and_small(self):
-        # the kernel's flat cell indices depend on m alone: at m = 12, per
-        # half, 6 positions x 6 values x 924 sets (intp)
-        maxsize = kernel.census_cells.cache_info().maxsize
-        assert maxsize is not None and 1 <= maxsize <= 4
-        cached = kernel.census_cells(12)
-        assert all(table.dtype == np.intp for table in cached)
-        assert [table.shape for table in cached] == [(6, 6, 924), (6, 6, 924)]
-        assert sum(table.nbytes for table in cached) == 2 * 6 * 6 * 924 * 8
-        for table in cached:
-            assert 0 <= table.min() and table.max() < 12 * 12
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 1
-        # one m a census: a sweep keeps no more than maxsize tables, and a repeat hits
-        kernel.census_cells.cache_clear()
-        for m in range(2, 13):
-            kernel.census_cells(m)
-        info = kernel.census_cells.cache_info()
-        assert info.currsize <= info.maxsize
-        kernel.census_cells(12)
-        assert kernel.census_cells.cache_info().misses == info.misses
-
     def test_plan_cache_is_bounded_read_only_and_small(self):
-        # the kernel's plan keeps integers only, never a float one-hot: the
-        # 924 sets in group order (intp) and their head and tail positions
-        # (int8) at m = 12, and per group and half the 720 orderings' sorted
-        # indices and the starts of their runs (intp)
+        # the kernel's one cache keeps integers only, never a float one-hot:
+        # at m = 12 the flat cells of each half, 6 positions x 6 values x
+        # 924 sets, and per group and half the 720 orderings' sorted indices,
+        # all intp, and the blocks as Python ints
         maxsize = kernel.census_plan.cache_info().maxsize
         assert maxsize is not None and 1 <= maxsize <= 4
         plan = kernel.census_plan(12)
-        cached = [plan.sets, plan.head_positions, plan.tail_positions]
-        cached += [table for group in plan.groups for table in group[1:]]
-        assert all(table.dtype.kind == "i" for table in cached)
-        assert all(type(n) is int for n in plan.skipped)
-        nbytes = 2 * 924 * 6 + 8 * (924 + 7 * (2 * 720 + 2 * 14))
-        assert sum(table.nbytes for table in cached) == nbytes
+        cells = [plan.head_cells, plan.tail_cells]
+        assert [table.shape for table in cells] == [(6, 6, 924), (6, 6, 924)]
+        for table in cells:
+            assert 0 <= table.min() and table.max() < 12 * 12
+        cached = cells + [table for g in plan.groups for table in (g.head_order, g.tail_order)]
+        assert all(table.dtype == np.intp for table in cached)
+        assert sum(table.nbytes for table in cached) == 2 * 6 * 6 * 924 * 8 + 7 * 2 * 720 * 8
         for table in cached:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
+        numbers = list(plan.skipped)
+        for g in plan.groups:
+            for heads, first, runs in g.blocks:
+                numbers += [heads.start, heads.stop, first, *itertools.chain(*runs)]
+        assert all(type(n) is int for n in numbers)
         # one m a census: a sweep keeps no more than maxsize plans, and a repeat hits
         kernel.census_plan.cache_clear()
         for m in range(2, 13):
@@ -258,38 +242,68 @@ class TestHalves:
 
 
 def _plan_pairs(m):
-    """Every pair of ``census_plan(m)`` as (group, sorted head i, sorted tail c, permutation)."""
+    """Every pair of ``census_plan(m)`` as (group, sorted head i, sorted tail c, permutation).
+
+    A cell ``position * m + value`` puts ``value`` at ``position``.
+    """
     s = (m + 1) // 2
-    head_sets, tail_sets = kernel.halves(m, s)
     plan = kernel.census_plan(m)
     head_orders, tail_orders = kernel.orderings(m - s), kernel.orderings(s)
     for n, g in enumerate(plan.groups):
         for r in range(g.sets.start, g.sets.stop):
-            values = head_sets[plan.sets[r]], tail_sets[plan.sets[r]]
+            # [q, ordering]: the cell of the set's q-th position under each ordering
+            head = plan.head_cells[np.arange(m - s)[:, None], head_orders, r]
+            tail = plan.tail_cells[np.arange(s)[:, None], tail_orders, r]
             for i, a in enumerate(g.head_order.tolist()):
                 for c, b in enumerate(g.tail_order.tolist()):
-                    pi = np.empty(m, dtype=np.int64)
-                    pi[plan.head_positions[r]] = values[0][head_orders[:, a]]
-                    pi[plan.tail_positions[r]] = values[1][tail_orders[:, b]]
+                    cells = np.concatenate([head[:, a], tail[:, b]])
+                    pi = np.full(m, -1)
+                    pi[cells // m] = cells % m
                     yield n, i, c, tuple(pi.tolist())
 
 
-def _fixed_counts(starts):
-    """The fixed-point count of each sorted ordering, from a group's starts."""
-    return np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+def _group_fixed(m, plan, g):
+    """The fixed points of a group's sorted head and tail orderings, read from its cells.
+
+    The i-th sorted head ordering puts, at the position ``cell // m`` of a
+    set's q-th head cell, the value ``cell % m``; it fixes that position when
+    the two are equal.  Every set of the group must agree; likewise the tail.
+    """
+    fixed = []
+    for cells, order in ((plan.head_cells, g.head_order), (plan.tail_cells, g.tail_order)):
+        cells = cells[:, :, g.sets]  # [q, a, r]
+        orders = kernel.orderings(len(cells))[:, order]
+        chosen = cells[np.arange(len(cells))[:, None], orders]  # [q, sorted ordering, r]
+        per_set = (chosen // m == chosen % m).sum(axis=0).T
+        assert (per_set == per_set[0]).all()
+        fixed.append(per_set[0])
+    return fixed
 
 
 class TestPlan:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_sorted_orderings_list_every_permutation_once(self, m):
         # relabelled, a group's c-th sorted ordering has the same fixed
-        # points in every set, in increasing order
+        # points in every set, in increasing order, and the runs of the
+        # blocks name the fixed points k of their pairs
         plan = kernel.census_plan(m)
+        fixed = [_group_fixed(m, plan, g) for g in plan.groups]
+        named = {}
+        for n, g in enumerate(plan.groups):
+            for heads, first, runs in g.blocks:
+                for k, a, b in runs:
+                    for i in range(heads.start, heads.stop):
+                        named.update({(n, i, c): k for c in range(first + a, first + b)})
         perms = []
         for n, i, c, pi in _plan_pairs(m):
-            g = plan.groups[n]
-            fixed = sum(a == j for j, a in enumerate(pi))
-            assert fixed == _fixed_counts(g.head_starts)[i] + _fixed_counts(g.tail_starts)[c]
+            h, t = fixed[n]
+            assert (np.diff(h) >= 0).all() and (np.diff(t) >= 0).all()
+            k = sum(a == j for j, a in enumerate(pi))
+            assert k == h[i] + t[c]
+            if k >= 2:
+                assert named[n, i, c] == k
+            else:
+                assert (n, i, c) not in named
             perms.append(pi)
         assert sorted(perms) == list(itertools.permutations(range(m)))
 
@@ -305,13 +319,16 @@ class TestWork:
     def test_blocks_cover_the_pairs_with_two_or_more_fixed_points_once(self, m):
         plan = kernel.census_plan(m)
         tested = 0
-        for n, g in enumerate(plan.groups):
-            h, t = _fixed_counts(g.head_starts), _fixed_counts(g.tail_starts)
+        for g in plan.groups:
+            h, t = _group_fixed(m, plan, g)
             cover = np.zeros((len(h), len(t)), dtype=np.int64)
-            for block in plan.blocks:
-                if block.group == n:
-                    rows = slice(g.head_starts[block.h], g.head_starts[block.h + 1])
-                    cover[rows, g.tail_starts[max(0, 2 - block.h)] :] += 1
+            for heads, first, runs in g.blocks:
+                # the runs tile the block's tail columns, each with one k = h + t
+                assert [a for _, a, _ in runs] == [0] + [b for *_, b in runs[:-1]]
+                assert first + runs[-1][2] == len(t)
+                for k, a, b in runs:
+                    assert (h[heads, None] + t[first + a : first + b] == k).all()
+                    cover[heads, first + a : first + b] += 1
             assert (cover == (h[:, None] + t >= 2)).all()
             tested += (g.sets.stop - g.sets.start) * int(cover.sum())
         # of the m! permutations, !m have no fixed point and m * !(m - 1) one
@@ -326,8 +343,9 @@ class TestChunkBoundaries:
     # with h fixed points against the tail orderings with t >= 2 - h.  A
     # chunk holds CHUNK_ROWS // (heads * tails) whole sets of a block if one
     # set fits, and otherwise max(1, CHUNK_ROWS // tails) of one set's head
-    # orderings.  The splits below name the block (group, h) whose boundary
-    # they hit, with its sets x heads x tails (see census_plan).
+    # orderings.  The splits below name the block (g, h) whose boundary they
+    # hit, g its group's index in census_plan(m).groups, with its sets x
+    # heads x tails.
     @pytest.mark.parametrize(
         "m, splits",
         [
@@ -385,11 +403,16 @@ def test_census_rejects_a_plan_that_misses_or_repeats_a_block(monkeypatch, chang
     # the per-k counts checked against C(m, k) !(m - k) are those of the
     # blocks tested plus the pairs passed untested, so each block counts
     plan = kernel.census_plan(6)
-    for n in range(len(plan.blocks)):
-        if change == "drop":
-            blocks = plan.blocks[:n] + plan.blocks[n + 1 :]
-        else:
-            blocks = plan.blocks[: n + 1] + plan.blocks[n:]
-        monkeypatch.setattr(kernel, "census_plan", lambda m: plan._replace(blocks=blocks))
-        with pytest.raises(RuntimeError, match="candidate counts"):
-            census(maximal_game(6), "increment")
+    tried = 0
+    for n, g in enumerate(plan.groups):
+        for b in range(len(g.blocks)):
+            if change == "drop":
+                blocks = g.blocks[:b] + g.blocks[b + 1 :]
+            else:
+                blocks = g.blocks[: b + 1] + g.blocks[b:]
+            groups = plan.groups[:n] + (g._replace(blocks=blocks),) + plan.groups[n + 1 :]
+            monkeypatch.setattr(kernel, "census_plan", lambda m: plan._replace(groups=groups))
+            with pytest.raises(RuntimeError, match="candidate counts"):
+                census(maximal_game(6), "increment")
+            tried += 1
+    assert tried == sum(len(g.blocks) for g in plan.groups) > 0
