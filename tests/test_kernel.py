@@ -208,19 +208,38 @@ class TestHalves:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
-    def test_plan_cache_is_bounded_read_only_and_small(self):
-        # the kernel's one cache keeps integers only, never a float one-hot:
-        # at m = 12 the flat cells of each half, 6 positions x 6 values x
-        # 924 sets, and per group and half the 720 orderings' sorted indices,
-        # all intp, and the blocks as Python ints
+    def test_cell_cache_is_bounded_read_only_and_small(self):
+        # the kernel's flat cell indices depend on m alone and live in its
+        # plan: at m = 12, per half, 6 positions x 6 values x 924 sets (intp)
         maxsize = kernel.census_plan.cache_info().maxsize
         assert maxsize is not None and 1 <= maxsize <= 4
         plan = kernel.census_plan(12)
-        cells = [plan.head_cells, plan.tail_cells]
-        assert [table.shape for table in cells] == [(6, 6, 924), (6, 6, 924)]
-        for table in cells:
+        cached = [plan.head_cells, plan.tail_cells]
+        assert all(table.dtype == np.intp for table in cached)
+        assert [table.shape for table in cached] == [(6, 6, 924), (6, 6, 924)]
+        assert sum(table.nbytes for table in cached) == 2 * 6 * 6 * 924 * 8
+        for table in cached:
             assert 0 <= table.min() and table.max() < 12 * 12
-        cached = cells + [table for g in plan.groups for table in (g.head_order, g.tail_order)]
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        # one m a census: a sweep keeps no more than maxsize tables, and a repeat hits
+        kernel.census_plan.cache_clear()
+        for m in range(2, 13):
+            kernel.census_plan(m)
+        info = kernel.census_plan.cache_info()
+        assert info.currsize <= info.maxsize
+        assert kernel.census_plan(12).head_cells is kernel.census_plan(12).head_cells
+        assert kernel.census_plan.cache_info().misses == info.misses
+
+    def test_plan_cache_is_bounded_read_only_and_small(self):
+        # the kernel's one cache keeps integers only, never a float one-hot:
+        # at m = 12 the cells above and, per group and half, the 720
+        # orderings' sorted indices (intp), and the blocks as Python ints
+        maxsize = kernel.census_plan.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 4
+        plan = kernel.census_plan(12)
+        cached = [plan.head_cells, plan.tail_cells]
+        cached += [table for g in plan.groups for table in (g.head_order, g.tail_order)]
         assert all(table.dtype == np.intp for table in cached)
         assert sum(table.nbytes for table in cached) == 2 * 6 * 6 * 924 * 8 + 7 * 2 * 720 * 8
         for table in cached:
@@ -239,7 +258,6 @@ class TestHalves:
         assert info.currsize <= info.maxsize
         kernel.census_plan(12)
         assert kernel.census_plan.cache_info().misses == info.misses
-
 
 def _plan_pairs(m):
     """Every pair of ``census_plan(m)`` as (group, sorted head i, sorted tail c, permutation).
