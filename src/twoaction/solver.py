@@ -12,10 +12,12 @@ linear-product homotopy (Morgan & Sommese 1987)
 
 from the roots of G, one per derangement of the free players, to t = 1, and
 keeps the real roots strictly inside the open face that satisfy the
-boundary sign conditions with positive margin.  Every payoff difference is
-written in the monomial basis of the face, so F, its Jacobian and the
-boundary conditions are matrix products, and the supports with the same r
-are tracked as one NumPy batch.
+boundary sign conditions with positive margin.  The start roots lie around
+the centre of the face, 1/2 in every coordinate, where the roots that can
+be equilibria lie, so the paths are shorter than from around 0 and take
+fewer steps.  Every payoff difference is written in the monomial basis of
+the face, so F, its Jacobian and the boundary conditions are matrix
+products, and the supports with the same r are tracked as one NumPy batch.
 
 A payoff difference is multilinear, so on a face it lies between its least
 and greatest value at the face's 2^r vertices.  A support is proven to hold
@@ -32,11 +34,13 @@ correction at 0.3 of its bound, from Heun's O(h^3) error; a step rejected
 for it shrinks by the same estimate, not by a fixed half.
 
 Every path ends in one of PATH_STATES.  Two paths of one support that end at
-the same point are a path jump; a support with a jumped or failed path is
-tracked once more with a smaller step and a new gamma, and a path that still
-fails is counted in ``stats["failed"]``, never dropped.  The a_ij and gamma
-come from a fixed seed, so a solve is deterministic; randomness enters only
-through game generation and perturbation, always behind an explicit seed.
+the same point are a path jump.  A failed path and both paths of a jump are
+tracked once more on the same homotopy with smaller steps; every other
+endpoint is kept.  Of two paths that still end at the same point the later
+one fails, and a path that fails is counted in ``stats["failed"]``, never
+dropped.  The a_ij and gamma come from a fixed seed, so a solve is
+deterministic; randomness enters only through game generation and
+perturbation, always behind an explicit seed.
 
 This solver never looks at the combinatorial structure of product games, so
 its censuses are an independent check on the exact candidate engine.
@@ -63,9 +67,9 @@ ZERO, ONE, FREE = "zero", "one", "free"
 PATH_STATES = ("real_interior", "real_exterior", "complex", "diverged", "failed")
 _INTERIOR, _EXTERIOR, _COMPLEX, _DIVERGED, _FAILED = range(len(PATH_STATES))
 
-# The a_ij and each tracking attempt's gamma are drawn from this seed.  A
-# random complex gamma misses, with probability one, the finitely many
-# values for which a path meets a singular point before t = 1.
+# The a_ij and gamma are drawn from this seed.  A random complex gamma
+# misses, with probability one, the finitely many values for which a path
+# meets a singular point before t = 1.
 _HOMOTOPY_SEED = 20240817
 # Heun's predictor with two Newton corrector steps.  A step spans at most
 # _MAX_STEP in t, so even a straight path is corrected four times, and is
@@ -265,19 +269,22 @@ def _step(inverse: np.ndarray, rhs: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _start_system(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of G_i = prod_{j != i} (x_j - a_ij), and its !r roots.
+    """Coefficients of gamma G, with G_i = prod_{j != i} (x_j - a_ij), and its !r roots.
 
     G vanishes when every equation i picks one factor j = pi(i) with
-    x_j = a_ij and every x_j is picked once: pi is a derangement.  Cached,
-    so both arrays are read-only.
+    x_j = a_ij and every x_j is picked once: pi is a derangement.  The a_ij
+    are complex normals with deviation 1/4 around the centre of the face,
+    where the roots that can be equilibria lie; gamma is one draw for every
+    r.  Cached, so both arrays are read-only.
     """
     rng = np.random.default_rng([_HOMOTOPY_SEED, 0, r])
-    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    a = 0.5 + (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / 4
     coeffs = np.ones((r, 1), dtype=complex)
     for j in range(r):
         factor = np.stack([-a[:, j], np.ones(r)], axis=1)
         factor[j] = (1, 0)
         coeffs = (coeffs[:, :, None] * factor[:, None, :]).reshape(r, -1)
+    coeffs *= np.exp(2j * np.pi * np.random.default_rng([_HOMOTOPY_SEED, 1, 0]).random())
     pis = np.array([[img - 1 for img in pi.images] for pi in enumerate_derangements(r)])
     roots = np.empty(pis.shape, dtype=complex)
     roots[np.arange(len(pis))[:, None], pis] = a[np.arange(r), pis]
@@ -351,23 +358,19 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     return end, reached, diverged, accepted, rounds - accepted
 
 
-def _track_supports(target: np.ndarray, attempt: int):
-    """Endpoints (n, !r, r) and states (n, !r) of the paths of n supports,
-    and the accepted and rejected rounds of all their paths.
+def _track_paths(target: np.ndarray, x: np.ndarray, shrink: int):
+    """Endpoints (P, r) and states (P,) of P paths, and their accepted and
+    rejected rounds.
 
-    ``target`` holds the (n, r, 2^r) coefficients of their systems.  States
-    are indices into PATH_STATES.
+    ``target`` holds the (P, r, 2^r) coefficients of each path's system,
+    ``x`` its start root and ``shrink`` divides the step bounds.  Each
+    endpoint is polished by three Newton steps at t = 1.  States are
+    indices into PATH_STATES.
     """
-    n, r, _ = target.shape
-    start, roots = _start_system(r)
-    d = len(roots)
-    per_path = np.repeat(target, d, axis=0)
-    gamma = np.exp(2j * np.pi * np.random.default_rng([_HOMOTOPY_SEED, 1, attempt]).random())
-    x, reached, diverged, accepted, rejected = _track(
-        per_path, gamma * start, np.tile(roots, (n, 1)), _RETRACK_SHRINK**attempt
-    )
+    start, _ = _start_system(x.shape[1])
+    x, reached, diverged, accepted, rejected = _track(target, start, x, shrink)
     for _ in range(3):
-        J, values = _linearized(per_path, _monomials(x))
+        J, values = _linearized(target, _monomials(x))
         dx = -(_inverse(J) @ values)[..., 0]
         x += dx
     size = 1 + np.abs(x).max(axis=1)
@@ -376,16 +379,26 @@ def _track_supports(target: np.ndarray, attempt: int):
         [diverged, ~(reached & polished), np.abs(x.imag).max(axis=1) > _ENDPOINT_TOL * size],
         [_DIVERGED, _FAILED, _COMPLEX],
         np.where(((x.real > 0) & (x.real < 1)).all(axis=1), _INTERIOR, _EXTERIOR),
-    ).reshape(n, d)
-    x, size = x.reshape(n, d, r), size.reshape(n, d)
-    # a finite endpoint that an earlier path of the same support also reached,
-    # compared one coordinate at a time so no (d, d, r) temporary is built
+    )
+    return x, state, np.array([accepted, rejected])
+
+
+def _same_endpoints(x: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Pairs of paths of one support that end at the same finite point.
+
+    ``x`` holds the (n, d, r) endpoints of the d paths of n supports and
+    ``state`` their states.  Entry [s, p, q] of the (n, d, d) result is True
+    when p < q and paths p and q of support s end within _ENDPOINT_TOL of
+    each other, compared one coordinate at a time so no (d, d, r) temporary
+    is built.
+    """
+    n, d, r = x.shape
+    size = 1 + np.abs(x).max(axis=2)
     finite = state < _DIVERGED
     close = np.triu(np.ones((d, d), dtype=bool), k=1) & finite[:, :, None] & finite[:, None, :]
     for k in range(r):
         close &= np.abs(x[:, :, None, k] - x[:, None, :, k]) <= _ENDPOINT_TOL * size[:, None, :]
-    state[close.any(axis=1)] = _FAILED
-    return x, state, np.array([accepted, rejected])
+    return close
 
 
 def _proven_empty(values: np.ndarray, batch: _Batch, residual: float, margin: float) -> np.ndarray:
@@ -428,14 +441,26 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         tracked = np.flatnonzero(~empty)
         # a free player indifferent on the whole face leaves no isolated root:
         # each path would meet a singular Jacobian at t = 1, so all fail untracked
-        live, shape = ~degenerate[tracked], (len(tracked), subfactorial(r))
-        x, state = np.zeros(shape + (r,), dtype=complex), np.full(shape, _FAILED)
+        live, d = ~degenerate[tracked], subfactorial(r)
+        x = np.zeros((len(tracked), d, r), dtype=complex)
+        state = np.full((len(tracked), d), _FAILED)
+        per_path = np.repeat(target[tracked[live]], d, axis=0)
+        starts = np.tile(_start_system(r)[1], (int(live.sum()), 1))
         with np.errstate(all="ignore"):
-            x[live], state[live], work = _track_supports(target[tracked[live]], 0)
-            redo = live & (state == _FAILED).any(axis=1)
+            ends, ends_state, work = _track_paths(per_path, starts, 1)
+            ends, ends_state = ends.reshape(-1, d, r), ends_state.reshape(-1, d)
+            # a failed path and both paths of a jump take smaller steps on the
+            # same homotopy; of a pair that meets again, the later path fails
+            same = _same_endpoints(ends, ends_state)
+            redo = (ends_state == _FAILED) | same.any(axis=1) | same.any(axis=2)
             if redo.any():
-                x[redo], state[redo], more = _track_supports(target[tracked[redo]], 1)
-                work += more
+                flat = redo.ravel()
+                more = _track_paths(per_path[flat], starts[flat], _RETRACK_SHRINK)
+                ends[redo], ends_state[redo] = more[:2]
+                work += more[2]
+                same = _same_endpoints(ends, ends_state)
+        ends_state[same.any(axis=1)] = _FAILED
+        x[live], state[live] = ends, ends_state
 
     # residuals of the free players and signed margins of the boundary ones
     row, path = np.nonzero(state == _INTERIOR)
@@ -461,7 +486,7 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         "starts": paths.size,
         "excluded": (n - len(tracked)) * paths.shape[1],
         "converged": int(counts[:_DIVERGED].sum()),
-        "retracked": paths.shape[1] * int(redo.sum()),
+        "retracked": int(redo.sum()),
         "steps": int(work[0]),
         "rejected": int(work[1]),
     }
@@ -531,10 +556,12 @@ def solve_all(
     vertices of their face prove empty (``excluded``), the others
     (``starts``; with ``excluded`` they add up to the sum over r >= 2 of
     C(m, r) 2^(m-r) !r), tracked unless their face is degenerate, those
-    ending at a finite point (``converged``), those re-tracked after a jump
-    or failure, and those ending in each of PATH_STATES.  It also counts the
-    tracking rounds summed over the paths, accepted (``steps``) and rejected
-    (``rejected``), and the degenerate supports, over every support.
+    ending at a finite point (``converged``), those tracked a second time,
+    with smaller steps, because they failed or ended at the same point as
+    another path of their support (``retracked``), and those ending in each
+    of PATH_STATES.  It also counts the tracking rounds summed over the
+    paths, accepted (``steps``) and rejected (``rejected``), and the
+    degenerate supports, over every support.
     """
     vertex = _vertex_differences(game)
     m = len(vertex)
