@@ -5,7 +5,7 @@ fully mixed).  On a profile with r free players the equilibrium conditions
 are the r equations "payoff difference of free player i = 0".  Equation i is
 multilinear in the other free players' coordinates and does not contain
 x_i, so the system has at most !r isolated roots (McKelvey & McLennan,
-J. Econ. Theory 1997).  For r >= 2 the solver tracks exactly !r paths of the
+J. Econ. Theory 1997).  For r >= 4 the solver tracks exactly !r paths of the
 linear-product homotopy (Morgan & Sommese 1987)
 
     H(x, t) = (1 - t) * gamma * G(x) + t * F(x),   G_i = prod_{j != i} (x_j - a_ij),
@@ -18,6 +18,13 @@ be equilibria lie, so the paths are shorter than from around 0 and take
 fewer steps.  Every payoff difference is written in the monomial basis of
 the face, so F, its Jacobian and the boundary conditions are matrix
 products, and the supports with the same r are tracked as one NumPy batch.
+
+Faces with r = 2 and 3 are solved in closed form, one root per path
+(``stats["closed_form"]``): at r = 2 both equations are linear, and at
+r = 3 two of them give x0 and x1 as Moebius functions of x2, which leaves
+a quadratic in x2.  Their roots are polished and given states as tracked
+endpoints are, and the homotopy is their fallback: a root that fails or
+meets another is tracked from its start root like any path.
 
 A payoff difference is multilinear, so on a face it lies between its least
 and greatest value at the face's 2^r vertices.  A support is proven to hold
@@ -62,7 +69,7 @@ from .game_model import FLOAT, ProductTwoActionGame, TwoActionGame, perturb
 
 ZERO, ONE, FREE = "zero", "one", "free"
 
-# Where a tracked path ends.  Only real-interior roots can be equilibria.
+# Where a path ends.  Only real-interior roots can be equilibria.
 # Inside the solver a state is its index in PATH_STATES.
 PATH_STATES = ("real_interior", "real_exterior", "complex", "diverged", "failed")
 _INTERIOR, _EXTERIOR, _COMPLEX, _DIVERGED, _FAILED = range(len(PATH_STATES))
@@ -74,8 +81,9 @@ _HOMOTOPY_SEED = 20240817
 # Heun's predictor with two Newton corrector steps.  A step spans at most
 # _MAX_STEP in t, so even a straight path is corrected four times, and is
 # accepted when the first correction is at most _CORRECTOR_TOL * (1 + |x|)
-# and the second at most a tenth of it.  At 2e-3 paths of maximal_game(6)
-# jumped (the re-track caught them), at 1e-2 one failed even after it.  A
+# and the second at most a tenth of it.  On maximal_game(6) looser bounds
+# hold too: at 2e-3 no path is re-tracked and at 1e-2 twelve are, no path
+# fails, and every equilibrium agrees with these bounds' within 4e-14.  A
 # re-track divides both bounds by _RETRACK_SHRINK.  The step size control
 # in _track only picks the next step within these bounds: it aims the first
 # correction at 0.3 * _CORRECTOR_TOL, so few steps are rejected, and it
@@ -89,7 +97,8 @@ _MAX_ROUNDS = 2000
 _INFINITY = 1e8
 # Relative to 1 + |x|: the last of three Newton steps at t = 1 must be
 # below it, an endpoint is real when its imaginary parts are below it, and
-# two endpoints closer than it are the same point.
+# two endpoints closer than it are the same point.  Relative to the size of
+# its terms, a Moebius denominator of _face_roots below it has vanished.
 _ENDPOINT_TOL = 1e-8
 # An equilibrium's free players are indifferent within _RESIDUAL_TOL, and its
 # boundary players prefer their action by at least _MARGIN_TOL (near-degenerate
@@ -359,8 +368,8 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
 
 
 def _track_paths(target: np.ndarray, x: np.ndarray, shrink: int):
-    """Endpoints (P, r) and states (P,) of P paths, and their accepted and
-    rejected rounds.
+    """Endpoints (P, r) and states (P,) of P paths, and their work: the
+    accepted and rejected rounds, and 0 paths solved in closed form.
 
     ``target`` holds the (P, r, 2^r) coefficients of each path's system,
     ``x`` its start root and ``shrink`` divides the step bounds.  Each
@@ -369,6 +378,17 @@ def _track_paths(target: np.ndarray, x: np.ndarray, shrink: int):
     """
     start, _ = _start_system(x.shape[1])
     x, reached, diverged, accepted, rejected = _track(target, start, x, shrink)
+    return (*_endpoints(target, x, reached, diverged), np.array([accepted, rejected, 0]))
+
+
+def _endpoints(target: np.ndarray, x: np.ndarray, reached: np.ndarray, diverged: np.ndarray):
+    """The points x (P, r), polished in place by three Newton steps at t = 1,
+    and their states, indices into PATH_STATES.
+
+    ``reached`` marks the paths that got to t = 1 and ``diverged`` those
+    that head to a root at infinity; a path that is neither, or whose last
+    Newton step is not below _ENDPOINT_TOL, fails.
+    """
     for _ in range(3):
         J, values = _linearized(target, _monomials(x))
         dx = -(_inverse(J) @ values)[..., 0]
@@ -380,7 +400,68 @@ def _track_paths(target: np.ndarray, x: np.ndarray, shrink: int):
         [_DIVERGED, _FAILED, _COMPLEX],
         np.where(((x.real > 0) & (x.real < 1)).all(axis=1), _INTERIOR, _EXTERIOR),
     )
-    return x, state, np.array([accepted, rejected])
+    return x, state
+
+
+def _face_roots(C: np.ndarray) -> np.ndarray:
+    """The !r roots (n, !r, r) of each face with r = 2 or 3 free players.
+
+    ``C`` holds the (n, r, 2^r) coefficients of the faces' equations in the
+    monomial basis of _moebius.  A root at infinity has an infinite or huge
+    coordinate; a root the formulas cannot give is NaN in x0 and x1.
+
+    At r = 2 equation 0 is c + d x1 and equation 1 is c' + d' x0.  At r = 3
+    equations 0 and 1 give x1 = -N1(x2) / D1(x2) and x0 = -N0(x2) / D0(x2),
+    with N and D linear; equation 2 times D0 D1 is then a quadratic in x2,
+    whose roots the stable formula gives.  A reducible equation, as on every
+    face of a product game, makes its D vanish at a root: that coordinate
+    comes from equation 2, which is linear in it.
+    """
+    if C.shape[1] == 2:
+        return (-C[:, [1, 0], [0, 0]] / C[:, [1, 0], [2, 1]])[:, None].astype(complex)
+    # each linear polynomial (constant, x2) is a (2, n) pair, as are the two roots
+    N1, D1, N0, D0 = C[:, 0, 0:2].T, C[:, 0, 2:4].T, C[:, 1, 0:2].T, C[:, 1, 4:6].T
+    e0, e1, e2, e3 = C[:, 2, [0, 2, 4, 6]].T  # equation 2: 1, x1, x0 and x0 x1
+
+    def times(p, q):  # the product of two linear polynomials, constant first
+        return np.stack([p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]])
+
+    c0, c1, c2 = e0 * times(D0, D1) - e1 * times(N1, D0) - e2 * times(N0, D1) + e3 * times(N0, N1)
+    s = np.sqrt((c1 * c1 - 4 * c2 * c0).astype(complex))
+    q = -(c1 + np.where(c1 < 0, -s, s)) / 2
+    x2 = np.stack([q / c2, c0 / q])  # c2 = 0 puts the first root at infinity
+
+    def at(p):  # a linear polynomial at the roots x2
+        return p[0] + p[1] * x2
+
+    def lost(D):  # the denominator vanishes, relative to the size of its terms
+        return np.abs(at(D)) <= _ENDPOINT_TOL * (np.abs(D[0]) + np.abs(D[1] * x2))
+
+    x0, x1, lost0, lost1 = -at(N0) / at(D0), -at(N1) / at(D1), lost(D0), lost(D1)
+    x0, x1 = (
+        np.where(lost0, -(e0 + e1 * x1) / (e2 + e3 * x1), x0),
+        np.where(lost1, -(e0 + e2 * x0) / (e1 + e3 * x0), x1),
+    )
+    both = lost0 & lost1
+    x0[both] = x1[both] = np.nan
+    return np.stack([x0, x1, x2], axis=2).transpose(1, 0, 2)
+
+
+def _first_pass(target: np.ndarray, x: np.ndarray):
+    """``_track_paths(target, x, 1)``, except that faces with r = 2 or 3 are
+    solved in closed form, and their start roots ``x`` are not read.
+
+    The !r paths of a face are consecutive rows of ``target``.  The third
+    count of the work is the number of paths solved in closed form.  A
+    closed-form root goes through the same polishing and state rules as a
+    tracked endpoint.
+    """
+    P, r = x.shape
+    if r > 3:
+        return _track_paths(target, x, 1)
+    roots = _face_roots(target[:: subfactorial(r)]).reshape(P, r)
+    diverged = (np.abs(roots) > _INFINITY).any(axis=1)
+    return (*_endpoints(target, roots, ~diverged, diverged), np.array([0, 0, P]))
 
 
 def _same_endpoints(x: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -426,7 +507,7 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
     own = np.take_along_axis(coeffs, free[..., None], axis=1)
     # r = 0: the vertex is the one candidate; r = 1: there is none
     x, state = np.zeros((n, int(r == 0), r)), np.zeros((n, int(r == 0)), dtype=int)
-    tracked, work = np.arange(n), np.zeros(2, dtype=int)
+    tracked, work = np.arange(n), np.zeros(3, dtype=int)
     degenerate, redo = np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
     if r == 1:
         # The single equation does not involve the free coordinate: it either
@@ -447,7 +528,7 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         per_path = np.repeat(target[tracked[live]], d, axis=0)
         starts = np.tile(_start_system(r)[1], (int(live.sum()), 1))
         with np.errstate(all="ignore"):
-            ends, ends_state, work = _track_paths(per_path, starts, 1)
+            ends, ends_state, work = _first_pass(per_path, starts)
             ends, ends_state = ends.reshape(-1, d, r), ends_state.reshape(-1, d)
             # a failed path and both paths of a jump take smaller steps on the
             # same homotopy; of a pair that meets again, the later path fails
@@ -487,6 +568,7 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         "excluded": (n - len(tracked)) * paths.shape[1],
         "converged": int(counts[:_DIVERGED].sum()),
         "retracked": int(redo.sum()),
+        "closed_form": int(work[2]),
         "steps": int(work[0]),
         "rejected": int(work[1]),
     }
@@ -555,13 +637,15 @@ def solve_all(
     ``stats`` counts the paths: those of supports that the values at the
     vertices of their face prove empty (``excluded``), the others
     (``starts``; with ``excluded`` they add up to the sum over r >= 2 of
-    C(m, r) 2^(m-r) !r), tracked unless their face is degenerate, those
-    ending at a finite point (``converged``), those tracked a second time,
-    with smaller steps, because they failed or ended at the same point as
-    another path of their support (``retracked``), and those ending in each
-    of PATH_STATES.  It also counts the tracking rounds summed over the
-    paths, accepted (``steps``) and rejected (``rejected``), and the
-    degenerate supports, over every support.
+    C(m, r) 2^(m-r) !r), solved unless their face is degenerate, those of
+    faces with r = 2 and 3 solved in closed form rather than tracked
+    (``closed_form``), those ending at a finite point (``converged``), those
+    tracked a second time, with smaller steps, because they failed or ended
+    at the same point as another path of their support (``retracked``,
+    closed-form paths included), and those ending in each of PATH_STATES.
+    It also counts the tracking rounds summed over the paths, accepted
+    (``steps``) and rejected (``rejected``), and the degenerate supports,
+    over every support.
     """
     vertex = _vertex_differences(game)
     m = len(vertex)

@@ -26,6 +26,9 @@ other oracles and the tests read.
 ``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
 exclusion turned off: it tracks the paths of every support, so its
 equilibria show that no support the exclusion skips holds one.
+``solve_all_tracking_every_face`` is ``solver.solve_all`` with every first
+pass tracked, the faces with r = 2 and 3 included, which the library solves
+in closed form.
 ``deformation_drift`` measures ``verify_deformation``'s drift and tracking
 failures one baseline candidate and one found equilibrium at a time, reading
 each candidate's support from its boundary assignment; the library takes one
@@ -222,6 +225,18 @@ def solve_all_tracking_every_support(
         return solver.solve_all(game, config)
     finally:
         solver._proven_empty = proven_empty
+
+
+def solve_all_tracking_every_face(
+    game, config: solver.SolverConfig = solver.SolverConfig()
+) -> solver.SolverReport:
+    """``solver.solve_all`` with no face solved in closed form: every path is tracked."""
+    first_pass = solver._first_pass
+    solver._first_pass = lambda target, x: solver._track_paths(target, x, 1)
+    try:
+        return solver.solve_all(game, config)
+    finally:
+        solver._first_pass = first_pass
 
 
 def deformation_drift(baseline, trials) -> tuple[float, list[int], int]:

@@ -208,7 +208,7 @@ def test_criterion_5_numeric_solver_agreement():
             elapsed = time.perf_counter() - start
             assert report.total == total
             assert report.stats["failed"] == 0
-            # every face of the maximal game is tracked: none is proven empty
+            # every face of the maximal game is solved: none is proven empty
             assert report.stats["excluded"] == 0
             exact = [e.gamma_floats() for e in equilibria(game, method="both")]
             assert len(exact) == total

@@ -295,19 +295,22 @@ class TestConstructClassifySolve:
         assert None in [eq["margin"] for eq in data["equilibria"]]
 
     def test_solve_reports_failed_paths(self, tmp_path, capsys, monkeypatch):
-        # one predictor-corrector round is too few for any path to reach t = 1
+        # one predictor-corrector round is too few for any path to reach t = 1.
+        # Faces with r <= 3 are solved in closed form, untracked, so at m = 4
+        # the 9 paths of the fully mixed support fail and the other 40 do not
         monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
-        game = tmp_path / "g3.json"
-        assert main(["construct", "--m", "3", "--out", str(game)]) == 0
+        game = tmp_path / "g4.json"
+        assert main(["construct", "--m", "4", "--out", str(game)]) == 0
         capsys.readouterr()
         assert main(["solve", str(game), "--format", "json"]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["stats"]["failed"] == 8
+        stats = json.loads(captured.out)["stats"]
+        assert (stats["failed"], stats["closed_form"]) == (9, 40)
         assert json.loads(captured.err) == {
             "error": "failed_paths",
-            "failed": 8,
-            "starts": 8,
-            "total": 4,
+            "failed": 9,
+            "starts": 49,
+            "total": 28,
         }
 
     def test_missing_file_is_usage_error(self, capsys):

@@ -11,6 +11,7 @@ from _oracles import (
     deformation_drift,
     lam_at_profile,
     monomials,
+    solve_all_tracking_every_face,
     solve_all_tracking_every_support,
 )
 from twoaction.candidate_engine import census, equilibria
@@ -287,10 +288,14 @@ class TestPathAccounting:
         assert report.stats["converged"] == 294
         assert report.stats["failed"] == 0
         assert report.total == 185
-        # the rounds of the 294 paths: exact, so a change in work shows here.
-        # They were (10470, 1228) with start roots around 0; the roots now
-        # sit around the centre of the face.
-        assert (report.stats["steps"], report.stats["rejected"]) == (6899, 776)
+        # the paths of the 80 faces with r = 2 (one each) and the 40 with
+        # r = 3 (two each) are solved in closed form
+        assert report.stats["closed_form"] == 80 * 1 + 40 * 2
+        # the rounds of the other 134 paths: exact, so a change in work shows
+        # here.  They were (10470, 1228) with start roots around 0, and
+        # (6899, 776) from the centre of the face while the faces with r <= 3
+        # were tracked too.
+        assert (report.stats["steps"], report.stats["rejected"]) == (4725, 558)
 
     def test_every_path_ends_in_a_named_state(self):
         for seed in range(3):
@@ -310,33 +315,38 @@ class TestPathAccounting:
         assert stats["starts"] == stats["converged"] == stats["failed"] == 0
         batch = solver._batch([SupportProfile(("free", "free"))])
         target = solver._moebius(solver._face_values(solver._vertex_differences(game), batch))
+        starts = solver._start_system(2)[1]
         with np.errstate(all="ignore"):
-            _, state, _ = solver._track_paths(target, solver._start_system(2)[1], 1)
-        assert state.reshape(1, 1).tolist() == [[PATH_STATES.index("diverged")]]
+            _, state, _ = solver._track_paths(target, starts, 1)
+            # in closed form the root is -c / d with d = 0
+            _, closed, work = solver._first_pass(target, starts)
+        assert state.tolist() == closed.tolist() == [PATH_STATES.index("diverged")]
+        assert work.tolist() == [0, 0, 1]
 
     def test_only_the_later_of_two_equal_endpoints_fails(self, monkeypatch):
-        # maximal_game(3)'s fully mixed support has two real interior roots.
-        # Its two paths both ending at the first root is a path jump in that
-        # support; the same root reached in another support is none.
-        batch = solver._batch([SupportProfile(("free",) * 3)])
-        vertex = solver._vertex_differences(maximal_game(3))
-        target = np.repeat(solver._moebius(solver._face_values(vertex, batch)), 2, axis=0)
-        starts = solver._start_system(3)[1]
+        # maximal_game(4)'s fully mixed support has !4 = 9 real interior
+        # roots, and r = 4 is the least r whose paths are tracked.  Its paths
+        # 3 and 5 both ending at the root of path 3 is a path jump in that
+        # support; the same roots reached in another support are none.
+        batch = solver._batch([SupportProfile(("free",) * 4)])
+        vertex = solver._vertex_differences(maximal_game(4))
+        starts = solver._start_system(4)[1]
+        target = np.repeat(solver._moebius(solver._face_values(vertex, batch)), 9, axis=0)
         roots, state, _ = solver._track_paths(target, starts, 1)
-        interior = PATH_STATES.index("real_interior")
-        assert state.reshape(1, 2).tolist() == [[interior, interior]]
-        p, q = roots
-        ends = np.array([p, p, p, q])
+        interior, failed = PATH_STATES.index("real_interior"), PATH_STATES.index("failed")
+        assert state.tolist() == [interior] * 9
+        jumped = np.concatenate([roots, roots])
+        jumped[5] = jumped[3]
         monkeypatch.setattr(
             solver,
             "_track",
-            lambda *args: (ends, np.ones(4, bool), np.zeros(4, bool), 0, 0),
+            lambda *args: (jumped, np.ones(18, bool), np.zeros(18, bool), 0, 0),
         )
         two = np.concatenate([target, target])
         ends, state, _ = solver._track_paths(two, np.tile(starts, (2, 1)), 1)
-        state = state.reshape(2, 2)
-        state[solver._same_endpoints(ends.reshape(2, 2, 3), state).any(axis=1)] = solver._FAILED
-        assert state.tolist() == [[interior, PATH_STATES.index("failed")], [interior, interior]]
+        state = state.reshape(2, 9)
+        state[solver._same_endpoints(ends.reshape(2, 9, 4), state).any(axis=1)] = solver._FAILED
+        assert state.tolist() == [[interior] * 5 + [failed] + [interior] * 3, [interior] * 9]
 
     def test_only_the_paths_of_a_jump_are_retracked(self, monkeypatch):
         # Two paths of maximal_game(4)'s fully mixed support are made to end
@@ -384,14 +394,16 @@ class TestPathAccounting:
 
     @pytest.mark.parametrize("corrector_tol, shrink", [(0.5, 8), (10.0, 1)])
     def test_path_jumps_are_retracked_or_reported(self, monkeypatch, corrector_tol, shrink):
-        # a loose step control makes paths jump on maximal_game(4); the
-        # census is then exact after re-tracking or the failure is counted
+        # a loose step control makes paths of maximal_game(5)'s fully mixed
+        # support jump (faces with r <= 3 are solved in closed form, and at
+        # 0.5 no path of maximal_game(4) jumps); its !5 = 44 roots are then
+        # found after re-tracking or the failure is counted
         monkeypatch.setattr(solver, "_MAX_STEP", 1.0)
         monkeypatch.setattr(solver, "_CORRECTOR_TOL", corrector_tol)
         monkeypatch.setattr(solver, "_RETRACK_SHRINK", shrink)
-        report = solve_all(maximal_game(4))
-        assert report.stats["retracked"] > 0
-        assert report.total == 37 or report.stats["failed"] > 0
+        solutions, stats = solve_support(maximal_game(5), SupportProfile(("free",) * 5))
+        assert stats["retracked"] > 0
+        assert len(solutions) == 44 or stats["failed"] > 0
 
     def test_batches_match_single_supports(self):
         game = maximal_game(3)
@@ -448,6 +460,100 @@ class TestVertexExclusion:
         assert excluded > 0
 
 
+def game_with_differences(*differences) -> TwoActionGame:
+    """The float game in which player i's payoff difference is
+    ``differences[i]``, a function of the pure profile that does not read
+    player i's own action: u_i is b_i times it."""
+    profiles = list(itertools.product((0, 1), repeat=len(differences)))
+    tables = [[b[i] * f(*b) for b in profiles] for i, f in enumerate(differences)]
+    return TwoActionGame(len(differences), tables, mode=FLOAT)
+
+
+FULLY_MIXED_3 = SupportProfile(("free",) * 3)
+
+
+def assert_states_as_tracked(game):
+    """The paths of every support end in the states they end in when tracked."""
+    found, tracked = solve_all(game).stats, solve_all_tracking_every_face(game).stats
+    assert [found[k] for k in PATH_STATES] == [tracked[k] for k in PATH_STATES]
+
+
+class TestClosedForm:
+    """Faces with r = 2 and 3 are solved in closed form, not tracked."""
+
+    def test_matches_tracking_every_face(self, random_product_game):
+        rng, py_rng = np.random.default_rng(23), random.Random(23)
+        games = [random_generic_game(m, rng) for m in [3] * 12 + [4] * 6]
+        games += [random_product_game(m, py_rng) for m in (3, 3, 4, 4, 5)]
+        games.append(maximal_game(3))
+        closed = 0
+        for game in games:
+            report, reference = solve_all(game), solve_all_tracking_every_face(game)
+            assert reference.stats["closed_form"] == 0
+            if game.m == 3:  # no face with r >= 4: no path is tracked
+                assert report.stats["closed_form"] == report.stats["starts"]
+                assert report.stats["steps"] == 0
+            closed += report.stats["closed_form"]
+            for key in PATH_STATES + ("starts", "excluded", "converged"):
+                assert report.stats[key] == reference.stats[key], key
+            found, expected = report.equilibria, reference.equilibria
+            assert [e.support for e in found] == [e.support for e in expected]
+            gap = np.subtract([e.gamma for e in found], [e.gamma for e in expected])
+            assert np.abs(gap).max(initial=0) <= 1e-12
+        assert closed > 0
+
+    def test_quadratic_without_leading_term_diverges(self):
+        # equations 0 and 1 are linear, x1 = 1 - x2 and x0 = (1 - x2) / 2, and
+        # equation 2 has no x0 x1 term, so the quadratic in x2 is linear: one
+        # root is (1/4, 1/2, 1/2), the other is at infinity, as tracked
+        game = game_with_differences(
+            lambda x0, x1, x2: x1 + x2 - 1,
+            lambda x0, x1, x2: 2 * x0 + x2 - 1,
+            lambda x0, x1, x2: x0 - x1 + 0.25,
+        )
+        solutions, stats = solve_support(game, FULLY_MIXED_3)
+        assert [eq.gamma for eq in solutions] == [pytest.approx((0.25, 0.5, 0.5), abs=1e-15)]
+        assert (stats["real_interior"], stats["diverged"], stats["closed_form"]) == (1, 1, 2)
+        assert stats["retracked"] == stats["steps"] == 0
+        assert_states_as_tracked(game)
+
+    def test_both_denominators_vanishing_is_retracked(self):
+        # equations 0 and 1 are (x1 - 1/2)(x2 - 1/2) and (x0 - 1/4)(x2 - 1/2):
+        # both denominators vanish at x2 = 1/2, so the closed form gives no
+        # x0 and x1.  Both paths fail there, are re-tracked by the homotopy,
+        # and end in a state as the tracked ones do; none is dropped.
+        game = game_with_differences(
+            lambda x0, x1, x2: (x1 - 0.5) * (x2 - 0.5),
+            lambda x0, x1, x2: (x0 - 0.25) * (x2 - 0.5),
+            lambda x0, x1, x2: x0 + x1 - 1,
+        )
+        batch = solver._batch([FULLY_MIXED_3])
+        coeffs = solver._moebius(solver._face_values(solver._vertex_differences(game), batch))
+        with np.errstate(all="ignore"):
+            roots = solver._face_roots(coeffs)
+        assert np.isnan(roots[..., :2]).all() and np.allclose(roots[..., 2], 0.5)
+        _, stats = solve_support(game, FULLY_MIXED_3)
+        assert stats["retracked"] == stats["closed_form"] == stats["starts"] == 2
+        assert sum(stats[state] for state in PATH_STATES) == 2
+        assert stats["steps"] > 0
+        assert_states_as_tracked(game)
+
+    def test_reducible_faces_recover_through_equation_2(self):
+        # every face of a product game is reducible: equation 0 of a face
+        # with r = 3 is d (x1 - a)(x2 - b), so at x2 = b its denominator
+        # vanishes and x1 comes from equation 2.  Without that, x1 is 0 / 0
+        # in rounding noise there: two roots of maximal_game(3) fail and are
+        # re-tracked, and of maximal_game(4) one ends diverged and one fails.
+        report = solve_all(maximal_game(3))
+        assert report.face_census == [2, 3, 0, 4]
+        stats = report.stats
+        assert stats["closed_form"] == stats["starts"] == stats["real_interior"] == 8
+        assert stats["retracked"] == stats["steps"] == stats["failed"] == 0
+        report = solve_all(maximal_game(4))
+        assert report.face_census == [9, 8, 12, 0, 8]
+        assert report.stats["closed_form"] == 40 and report.stats["retracked"] == 0
+
+
 WORK_KEYS = ("starts", "excluded", "steps", "rejected")
 
 
@@ -473,18 +579,21 @@ class TestWork:
                 stats = solve_all(game).stats
                 solved[id(game)] = tuple(stats[k] for k in WORK_KEYS)
         work = [solved[id(game)] for game in solve_m5_games]
-        # the start roots sit around the centre of the face; around 0, these
-        # games took 93,374 accepted rounds
+        # Only faces with r >= 4 are tracked: those with r = 2 and 3 are
+        # solved in closed form, the reducible faces of the product games
+        # included, so every row's rounds fell.  Tracking them too, these
+        # games took 67,256 accepted rounds, and from start roots around 0
+        # rather than the centre of the face, 93,374.
         assert work == [
-            (294, 0, 6899, 776),
-            (294, 0, 7185, 1004),
-            (199, 95, 8371, 835),
-            (294, 0, 6899, 776),
-            (294, 0, 6839, 934),
-            (208, 86, 8107, 785),
-            (294, 0, 6899, 776),
-            (294, 0, 7336, 1021),
-            (201, 93, 8721, 778),
+            (294, 0, 4725, 558),
+            (294, 0, 4741, 588),
+            (199, 95, 6848, 681),
+            (294, 0, 4725, 558),
+            (294, 0, 4783, 678),
+            (208, 86, 6493, 597),
+            (294, 0, 4725, 558),
+            (294, 0, 5122, 765),
+            (201, 93, 7319, 664),
         ]
         # Tracking every support, and with a step controller that aimed the
         # first correction at tol / 2 and at least halved a rejected step,
