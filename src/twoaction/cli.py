@@ -139,11 +139,12 @@ def cmd_construct(args) -> int:
 
 
 def _read_game(path, product: bool = True):
-    """The game in a file; an unreadable file, or a float game where a
-    product game is needed, is a UsageError."""
+    """The game in a file; an unreadable file, one nested too deeply for
+    the JSON parser, or a float game where a product game is needed, is a
+    UsageError."""
     try:
         game = load_game(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(exc) from exc
     if product and not isinstance(game, ProductTwoActionGame):
         raise UsageError("file does not hold an exact-mode product game")

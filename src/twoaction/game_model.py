@@ -425,8 +425,8 @@ def perturb(game: TwoActionGame | ProductTwoActionGame, epsilon: float, seed: in
 
     Deterministic for a given seed; the result is a float-mode game.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if isinstance(game, ProductTwoActionGame):
         game = game.tensor
     base = game.as_float()

@@ -26,12 +26,6 @@ a quadratic in x2.  Their roots are polished and given states as tracked
 endpoints are, and the homotopy is their fallback: a root that fails or
 meets another is tracked from its start root like any path.
 
-A payoff difference is multilinear, so on a face it lies between its least
-and greatest value at the face's 2^r vertices.  A support is proven to hold
-no equilibrium, and its paths are not tracked, when a free player's
-difference has one strict sign at every vertex, or a boundary player's
-signed difference is below the margin at every vertex (``stats["excluded"]``).
-
 A tracking round is Heun's predictor and a chord corrector: both Newton
 corrections reuse the inverse Jacobian at the Heun point, and an accepted
 step carries it to the next round's tangent, so a round builds and inverts
@@ -482,32 +476,15 @@ def _same_endpoints(x: np.ndarray, state: np.ndarray) -> np.ndarray:
     return close
 
 
-def _proven_empty(values: np.ndarray, batch: _Batch, residual: float, margin: float) -> np.ndarray:
-    """The supports whose face the values at its vertices prove to hold no equilibrium.
-
-    A multilinear function on a box lies between its least and its greatest
-    value at a vertex.  So no point of the face is an equilibrium when a free
-    player's payoff difference is above ``residual`` at every vertex, or
-    below -``residual`` at every vertex, or when a boundary player's signed
-    difference is below ``margin`` at every vertex.
-    """
-    own = np.take_along_axis(values, batch.free[..., None], axis=1)
-    one_sign = ((own > residual).all(axis=2) | (own < -residual).all(axis=2)).any(axis=1)
-    signed = batch.sign[..., None] * values
-    losing = ((signed < margin).all(axis=2) & (batch.sign != 0)).any(axis=1)
-    return one_sign | losing
-
-
 def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibrium], dict]:
     """Equilibria and statistics (``solve_all``'s keys) of supports with the same r."""
     supports, free, sign = batch.supports, batch.free, batch.sign
     (n, r), unit = free.shape, np.abs(vertex).max() or 1.0
-    at_vertices = _face_values(vertex, batch)
-    coeffs = _moebius(at_vertices)
+    coeffs = _moebius(_face_values(vertex, batch))
     own = np.take_along_axis(coeffs, free[..., None], axis=1)
     # r = 0: the vertex is the one candidate; r = 1: there is none
     x, state = np.zeros((n, int(r == 0), r)), np.zeros((n, int(r == 0)), dtype=int)
-    tracked, work = np.arange(n), np.zeros(3, dtype=int)
+    work = np.zeros(3, dtype=int)
     degenerate, redo = np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
     if r == 1:
         # The single equation does not involve the free coordinate: it either
@@ -518,14 +495,11 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         scale = np.abs(own).max(axis=2)
         degenerate = (scale == 0).any(axis=1)
         target = own / np.where(scale == 0, 1.0, scale)[..., None]
-        empty = _proven_empty(at_vertices, batch, _RESIDUAL_TOL * unit, _MARGIN_TOL * unit)
-        tracked = np.flatnonzero(~empty)
         # a free player indifferent on the whole face leaves no isolated root:
         # each path would meet a singular Jacobian at t = 1, so all fail untracked
-        live, d = ~degenerate[tracked], subfactorial(r)
-        x = np.zeros((len(tracked), d, r), dtype=complex)
-        state = np.full((len(tracked), d), _FAILED)
-        per_path = np.repeat(target[tracked[live]], d, axis=0)
+        live, d = ~degenerate, subfactorial(r)
+        x, state = np.zeros((n, d, r), dtype=complex), np.full((n, d), _FAILED)
+        per_path = np.repeat(target[live], d, axis=0)
         starts = np.tile(_start_system(r)[1], (int(live.sum()), 1))
         with np.errstate(all="ignore"):
             ends, ends_state, work = _first_pass(per_path, starts)
@@ -544,13 +518,13 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
         x[live], state[live] = ends, ends_state
 
     # residuals of the free players and signed margins of the boundary ones
-    row, path = np.nonzero(state == _INTERIOR)
-    sup, points = tracked[row], x[row, path].real
+    sup, path = np.nonzero(state == _INTERIOR)
+    points = x[sup, path].real
     values = np.einsum("qis,qs->qi", coeffs[sup], _monomials(points))
     residual = np.abs(np.take_along_axis(values, free[sup], axis=1)).max(axis=1, initial=0)
     margin = np.where(sign[sup] != 0, sign[sup] * values, np.inf).min(axis=1, initial=np.inf)
     unproven = residual > _RESIDUAL_TOL * unit
-    state[row[unproven], path[unproven]] = _FAILED
+    state[sup[unproven], path[unproven]] = _FAILED
 
     keep = (residual <= _RESIDUAL_TOL * unit) & (margin >= _MARGIN_TOL * unit)
     # each point: its support's vertex, 1 at action 1, with the free coordinates filled in
@@ -565,7 +539,6 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
     counts = np.bincount(paths.ravel(), minlength=len(PATH_STATES))
     stats = {
         "starts": paths.size,
-        "excluded": (n - len(tracked)) * paths.shape[1],
         "converged": int(counts[:_DIVERGED].sum()),
         "retracked": int(redo.sum()),
         "closed_form": int(work[2]),
@@ -634,10 +607,9 @@ def solve_all(
 ) -> SolverReport:
     """All equilibria of the game, by support enumeration.
 
-    ``stats`` counts the paths: those of supports that the values at the
-    vertices of their face prove empty (``excluded``), the others
-    (``starts``; with ``excluded`` they add up to the sum over r >= 2 of
-    C(m, r) 2^(m-r) !r), solved unless their face is degenerate, those of
+    ``stats`` counts the paths: every support's, !r on a face with r >= 2
+    free players (``starts``, the sum over r >= 2 of C(m, r) 2^(m-r) !r,
+    which is V(m) - 2^m), solved unless their face is degenerate, those of
     faces with r = 2 and 3 solved in closed form rather than tracked
     (``closed_form``), those ending at a finite point (``converged``), those
     tracked a second time, with smaller steps, because they failed or ended

@@ -23,9 +23,6 @@ other oracles and the tests read.
 ``monomials`` evaluates every monomial of a face at a batch of points by one
 ``where``/``prod`` over a bit table; the library builds them by doubling.
 
-``solve_all_tracking_every_support`` is ``solver.solve_all`` with its vertex
-exclusion turned off: it tracks the paths of every support, so its
-equilibria show that no support the exclusion skips holds one.
 ``solve_all_tracking_every_face`` is ``solver.solve_all`` with every first
 pass tracked, the faces with r = 2 and 3 included, which the library solves
 in closed form.
@@ -213,18 +210,6 @@ def monomials(x: np.ndarray) -> np.ndarray:
     r = x.shape[1]
     bits = (np.arange(2**r) & (1 << np.arange(r - 1, -1, -1)[:, None])) > 0
     return np.where(bits[:, None, :], x.T[:, :, None], 1).prod(axis=0)
-
-
-def solve_all_tracking_every_support(
-    game, config: solver.SolverConfig = solver.SolverConfig()
-) -> solver.SolverReport:
-    """``solver.solve_all`` with no support proven empty: every path is tracked."""
-    proven_empty = solver._proven_empty
-    solver._proven_empty = lambda values, batch, *tols: np.zeros(len(batch.supports), dtype=bool)
-    try:
-        return solver.solve_all(game, config)
-    finally:
-        solver._proven_empty = proven_empty
 
 
 def solve_all_tracking_every_face(

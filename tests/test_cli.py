@@ -459,6 +459,18 @@ class TestInputValidation:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
 
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_deeply_nested_file_exits_2(self, command, capsys, tmp_path):
+        # json.load recurses once per level of nesting and gives up long
+        # before 200,000 levels
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "recursion" in errors[0]
+
     @pytest.mark.parametrize(
         "argv",
         [

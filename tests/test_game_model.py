@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -398,6 +399,12 @@ class TestPerturbAndSerialization:
     def test_perturb_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             perturb(maximal_game(2), 0.0, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_perturb_rejects_nonfinite_epsilon(self, epsilon):
+        # the CLI's positive_float rule: NumPy's uniform would overflow
+        with pytest.raises(ValueError, match="epsilon"):
+            perturb(maximal_game(2), epsilon, seed=0)
 
     def test_roundtrip_product_game(self, tmp_path):
         game = maximal_game(3)

@@ -12,12 +12,11 @@ from _oracles import (
     lam_at_profile,
     monomials,
     solve_all_tracking_every_face,
-    solve_all_tracking_every_support,
 )
 from twoaction.candidate_engine import census, equilibria
 from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
-from twoaction.combinatorics import maximal_equilibrium_count, subfactorial
+from twoaction.combinatorics import candidate_count, maximal_equilibrium_count, subfactorial
 from twoaction.solver import (
     PATH_STATES,
     SolverConfig,
@@ -125,8 +124,20 @@ class TestSolveAll:
         exact = [e.gamma_floats() for e in equilibria(game, method="both")]
         match_sets([e.gamma for e in report.equilibria], exact, 1e-9)
         assert report.stats["failed"] == 0
-        # no face of a product game is proven empty from its vertices
-        assert report.stats["excluded"] == 0
+
+    @pytest.mark.parametrize("prefers", [0, 1])
+    def test_dominant_player_leaves_matching_pennies(self, prefers):
+        # players 1 and 2 play matching pennies; player 3 strictly prefers
+        # one action, so the one equilibrium mixes 1 and 2 evenly
+        profiles = list(itertools.product((0, 1), repeat=3))
+        tables = [
+            [1.0 if b[0] == b[1] else -1.0 for b in profiles],
+            [1.0 if b[0] != b[1] else -1.0 for b in profiles],
+            [1.0 if b[2] == prefers else 0.0 for b in profiles],
+        ]
+        report = solve_all(TwoActionGame(3, tables, mode=FLOAT))
+        assert [eq.gamma for eq in report.equilibria] == [pytest.approx((0.5, 0.5, prefers))]
+        assert report.stats["failed"] == 0
 
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_utility_scale_changes_no_answer(self, c):
@@ -284,7 +295,6 @@ class TestPathAccounting:
         )
         assert expected == 294
         assert report.stats["starts"] == 294
-        assert report.stats["excluded"] == 0
         assert report.stats["converged"] == 294
         assert report.stats["failed"] == 0
         assert report.total == 185
@@ -298,21 +308,24 @@ class TestPathAccounting:
         assert (report.stats["steps"], report.stats["rejected"]) == (4725, 558)
 
     def test_every_path_ends_in_a_named_state(self):
-        for seed in range(3):
-            stats = solve_all(random_generic_game(4, np.random.default_rng(seed))).stats
-            # every path is either excluded with its support or tracked to a state
+        # every support is solved: !r paths on each face with r >= 2 free
+        # players, V(m) - 2^m in all (49 at m = 4) whatever the payoffs;
+        # criterion 5 checks the maximal games
+        games = [random_generic_game(4, np.random.default_rng(seed)) for seed in range(3)]
+        games += [random_generic_game(m, np.random.default_rng(m)) for m in (3, 5)]
+        for game in games:
+            stats = solve_all(game).stats
             assert sum(stats[state] for state in PATH_STATES) == stats["starts"]
-            assert stats["starts"] + stats["excluded"] == 49
+            assert stats["starts"] == candidate_count(game.m) - 2**game.m
             assert stats["converged"] == stats["starts"] - stats["diverged"] - stats["failed"]
 
     def test_root_at_infinity_is_diverged(self):
-        # lam_1 = 1 everywhere: the (free, free) system has no finite root.
-        # Its one path, tracked, diverges; solve_all proves the support empty
-        # from the vertices of its face and tracks nothing.
+        # lam_1 = 1 everywhere: the (free, free) system has no finite root,
+        # so its one path diverges, tracked or in closed form
         game = TwoActionGame(2, [[0, 0, 1, 1], [0, 1, 0, -1]], mode=FLOAT)
         stats = solve_all(game).stats
-        assert stats["excluded"] == 1
-        assert stats["starts"] == stats["converged"] == stats["failed"] == 0
+        assert stats["starts"] == stats["diverged"] == 1
+        assert stats["converged"] == stats["failed"] == 0
         batch = solver._batch([SupportProfile(("free", "free"))])
         target = solver._moebius(solver._face_values(solver._vertex_differences(game), batch))
         starts = solver._start_system(2)[1]
@@ -382,12 +395,14 @@ class TestPathAccounting:
 
     def test_degenerate_face_fails_untracked(self):
         # player 1 is indifferent everywhere, so every face where it is free
-        # is degenerate: no isolated root, and its paths fail without a round
+        # is degenerate: no isolated root, and its paths fail without a round.
+        # Those are 6 of the 8 paths: the 4 faces with player 1 and one other
+        # player free hold one path each, and the fully mixed face two.
         t = np.random.default_rng(5).uniform(-1, 1, size=(3, 8))
         t[0] = 0.0
         report = solve_all(TwoActionGame(3, t.tolist(), mode=FLOAT))
         stats = report.stats
-        assert stats["failed"] == stats["starts"] == 3
+        assert (stats["failed"], stats["starts"]) == (6, 8)
         assert stats["steps"] == stats["rejected"] == stats["retracked"] == 0
         assert stats["degenerate_supports"] == 9
         assert report.total == 0
@@ -425,41 +440,6 @@ class TestPathAccounting:
         assert summed == totals
 
 
-class TestVertexExclusion:
-    @pytest.mark.parametrize("prefers", [0, 1])
-    def test_both_vertex_tests(self, prefers):
-        # players 1 and 2 play matching pennies; player 3 strictly prefers
-        # one action.  Every support with player 3 free fails the one-sign
-        # test (2 + 4 paths), and the one with player 3 on its other action
-        # fails the margin test (1 path), so one path is tracked.
-        profiles = list(itertools.product((0, 1), repeat=3))
-        tables = [
-            [1.0 if b[0] == b[1] else -1.0 for b in profiles],
-            [1.0 if b[0] != b[1] else -1.0 for b in profiles],
-            [1.0 if b[2] == prefers else 0.0 for b in profiles],
-        ]
-        report = solve_all(TwoActionGame(3, tables, mode=FLOAT))
-        assert (report.stats["excluded"], report.stats["starts"]) == (7, 1)
-        assert [eq.gamma for eq in report.equilibria] == [pytest.approx((0.5, 0.5, prefers))]
-
-    def test_excluded_supports_hold_no_equilibrium(self):
-        # the reference tracks every support and finds the same equilibria
-        rng = np.random.default_rng(19)
-        games = [random_generic_game(m, rng) for m in [3] * 24 + [4] * 18 + [5] * 8]
-        games.append(random_generic_game(3, np.random.default_rng(6153263537864010520)))
-        excluded = 0
-        for game in games:
-            report, reference = solve_all(game), solve_all_tracking_every_support(game)
-            assert report.face_census == reference.face_census
-            found, expected = report.equilibria, reference.equilibria
-            match_sets([e.gamma for e in found], [e.gamma for e in expected], 1e-12)
-            assert reference.stats["excluded"] == 0
-            assert report.stats["starts"] + report.stats["excluded"] == reference.stats["starts"]
-            assert report.stats["degenerate_supports"] == reference.stats["degenerate_supports"]
-            excluded += report.stats["excluded"]
-        assert excluded > 0
-
-
 def game_with_differences(*differences) -> TwoActionGame:
     """The float game in which player i's payoff difference is
     ``differences[i]``, a function of the pure profile that does not read
@@ -494,7 +474,7 @@ class TestClosedForm:
                 assert report.stats["closed_form"] == report.stats["starts"]
                 assert report.stats["steps"] == 0
             closed += report.stats["closed_form"]
-            for key in PATH_STATES + ("starts", "excluded", "converged"):
+            for key in PATH_STATES + ("starts", "converged"):
                 assert report.stats[key] == reference.stats[key], key
             found, expected = report.equilibria, reference.equilibria
             assert [e.support for e in found] == [e.support for e in expected]
@@ -554,7 +534,7 @@ class TestClosedForm:
         assert report.stats["closed_form"] == 40 and report.stats["retracked"] == 0
 
 
-WORK_KEYS = ("starts", "excluded", "steps", "rejected")
+WORK_KEYS = ("starts", "steps", "rejected")
 
 
 class TestWork:
@@ -585,23 +565,23 @@ class TestWork:
         # games took 67,256 accepted rounds, and from start roots around 0
         # rather than the centre of the face, 93,374.
         assert work == [
-            (294, 0, 4725, 558),
-            (294, 0, 4741, 588),
-            (199, 95, 6848, 681),
-            (294, 0, 4725, 558),
-            (294, 0, 4783, 678),
-            (208, 86, 6493, 597),
-            (294, 0, 4725, 558),
-            (294, 0, 5122, 765),
-            (201, 93, 7319, 664),
+            (294, 4725, 558),
+            (294, 4741, 588),
+            (294, 6848, 681),
+            (294, 4725, 558),
+            (294, 4783, 678),
+            (294, 6493, 597),
+            (294, 4725, 558),
+            (294, 5122, 765),
+            (294, 7319, 664),
         ]
         # Tracking every support, and with a step controller that aimed the
         # first correction at tol / 2 and at least halved a rejected step,
         # these games took 121,795 rounds, 27,907 of them rejected.
-        rounds, rejected = sum(w[2] + w[3] for w in work), sum(w[3] for w in work)
+        rounds, rejected = sum(w[1] + w[2] for w in work), sum(w[2] for w in work)
         assert rounds <= 0.9 * 121_795
         assert rejected <= 27_907 / 2
-        assert sum(w[2] for w in work) <= 0.8 * 93_374
+        assert sum(w[1] for w in work) <= 0.8 * 93_374
 
 
 class TestDeformation:
