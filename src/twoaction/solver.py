@@ -14,10 +14,10 @@ from the roots of G, one per derangement of the free players, to t = 1, and
 keeps the real roots strictly inside the open face that satisfy the
 boundary sign conditions with positive margin.  The start roots lie around
 the centre of the face, 1/2 in every coordinate, where the roots that can
-be equilibria lie, so the paths are shorter than from around 0 and take
-fewer steps.  Every payoff difference is written in the monomial basis of
-the face, so F, its Jacobian and the boundary conditions are matrix
-products, and the supports with the same r are tracked as one NumPy batch.
+be equilibria lie.  Every payoff difference is written in the monomial
+basis of the face, so F, its Jacobian and the boundary conditions are
+matrix products, and the supports with the same r are tracked as one NumPy
+batch.
 
 Faces with r = 2 and 3 are solved in closed form, one root per path
 (``stats["closed_form"]``): at r = 2 both equations are linear, and at
@@ -87,7 +87,8 @@ _CORRECTOR_TOL = 1e-3
 _RETRACK_SHRINK = 8
 # A path not at t = 1 after this many predictor-corrector rounds has failed.
 _MAX_ROUNDS = 2000
-# A path with a coordinate beyond this heads to a root at infinity.
+# A path that stops short of t = 1 with a coordinate x_k where 1 + |x_k|
+# is beyond this heads to a root at infinity.
 _INFINITY = 1e8
 # Relative to 1 + |x|: the last of three Newton steps at t = 1 must be
 # below it, an endpoint is real when its imaginary parts are below it, and
@@ -100,6 +101,9 @@ _ENDPOINT_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
 _MARGIN_TOL = 1e-12
 _NEAR_DEGENERATE_TOL = 1e-8
+# The first pass solves faces with at most this many free players in closed
+# form (_face_roots), and tracks the others.
+_CLOSED_FORM_R = 3
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,9 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
 
     ``target`` holds F's coefficients per path, ``start`` G's with gamma.
     ``shrink`` divides the step bounds.  Returns the points reached, the
-    mask of paths that reached t = 1, the mask of those that diverged, and
-    the accepted and rejected rounds, summed over the paths.
+    mask of paths that reached t = 1, and the accepted and rejected rounds,
+    summed over the paths.  A path stops short of t = 1 when it heads to a
+    root at infinity, or fails after _MAX_ROUNDS rounds.
 
     A round builds and inverts two Jacobians, not four.  The corrector is a
     chord method: both Newton corrections at t1 use the inverse at the Heun
@@ -314,7 +319,7 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
     """
     max_step, tol = _MAX_STEP / shrink, _CORRECTOR_TOL / shrink
     n = len(x)
-    end, reached, diverged = x.copy(), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    end, reached = x.copy(), np.zeros(n, dtype=bool)
     accepted = rounds = 0
     # the paths still moving and their state, compacted when one stops
     paths, dC, x, t = np.arange(n), target - start, x.copy(), np.zeros(n)
@@ -353,36 +358,25 @@ def _track(target: np.ndarray, start: np.ndarray, x: np.ndarray, shrink: int):
         stop = ok & ((t1 == 1) | (size > _INFINITY))
         if stop.any():
             done = paths[stop]
-            reached[done], diverged[done] = t1[stop] == 1, t1[stop] < 1
+            reached[done] = t1[stop] == 1
             end[done] = x[stop]
             keep = ~stop
             paths, dC, x, t, inverse, step = (a[keep] for a in (paths, dC, x, t, inverse, step))
     end[paths] = x
-    return end, reached, diverged, accepted, rounds - accepted
+    return end, reached, accepted, rounds - accepted
 
 
-def _track_paths(target: np.ndarray, x: np.ndarray, shrink: int):
-    """Endpoints (P, r) and states (P,) of P paths, and their work: the
-    accepted and rejected rounds, and 0 paths solved in closed form.
-
-    ``target`` holds the (P, r, 2^r) coefficients of each path's system,
-    ``x`` its start root and ``shrink`` divides the step bounds.  Each
-    endpoint is polished by three Newton steps at t = 1.  States are
-    indices into PATH_STATES.
-    """
-    start, _ = _start_system(x.shape[1])
-    x, reached, diverged, accepted, rejected = _track(target, start, x, shrink)
-    return (*_endpoints(target, x, reached, diverged), np.array([accepted, rejected, 0]))
-
-
-def _endpoints(target: np.ndarray, x: np.ndarray, reached: np.ndarray, diverged: np.ndarray):
+def _endpoints(target: np.ndarray, x: np.ndarray, reached: np.ndarray):
     """The points x (P, r), polished in place by three Newton steps at t = 1,
     and their states, indices into PATH_STATES.
 
-    ``reached`` marks the paths that got to t = 1 and ``diverged`` those
-    that head to a root at infinity; a path that is neither, or whose last
-    Newton step is not below _ENDPOINT_TOL, fails.
+    ``reached`` marks the paths that got to t = 1.  A path that did not has
+    diverged when it has a coordinate with 1 + |x_k| beyond _INFINITY, and
+    otherwise fails; so does a path whose last Newton step is not below
+    _ENDPOINT_TOL.  Each coordinate is tested on its own: a NaN in one
+    coordinate does not hide another at infinity.
     """
+    diverged = ~reached & (1 + np.abs(x) > _INFINITY).any(axis=1)
     for _ in range(3):
         J, values = _linearized(target, _monomials(x))
         dx = -(_inverse(J) @ values)[..., 0]
@@ -441,21 +435,30 @@ def _face_roots(C: np.ndarray) -> np.ndarray:
     return np.stack([x0, x1, x2], axis=2).transpose(1, 0, 2)
 
 
-def _first_pass(target: np.ndarray, x: np.ndarray):
-    """``_track_paths(target, x, 1)``, except that faces with r = 2 or 3 are
-    solved in closed form, and their start roots ``x`` are not read.
+def _solve_paths(target: np.ndarray, paths: np.ndarray, shrink: int):
+    """Endpoints (P, r) and states (P,) of the P paths that the (n, !r) mask
+    ``paths`` selects on n faces, in row-major order, and their work: the
+    accepted and rejected rounds, and the paths solved in closed form.
 
-    The !r paths of a face are consecutive rows of ``target``.  The third
-    count of the work is the number of paths solved in closed form.  A
-    closed-form root goes through the same polishing and state rules as a
-    tracked endpoint.
+    ``target`` holds the faces' (n, r, 2^r) coefficients, and path p of a
+    face starts at start root p.  The first pass, with ``shrink`` 1, solves
+    faces with r <= _CLOSED_FORM_R in closed form, a root at infinity taken
+    as a path that stops short of t = 1 there, and tracks the others.  A
+    re-track tracks every selected path, with the step bounds divided by
+    ``shrink``.  Every endpoint is polished and given its state by
+    _endpoints.
     """
-    P, r = x.shape
-    if r > 3:
-        return _track_paths(target, x, 1)
-    roots = _face_roots(target[:: subfactorial(r)]).reshape(P, r)
-    diverged = (np.abs(roots) > _INFINITY).any(axis=1)
-    return (*_endpoints(target, roots, ~diverged, diverged), np.array([0, 0, P]))
+    face, path = np.nonzero(paths)
+    per_path, r = target[face], target.shape[1]
+    if shrink == 1 and r <= _CLOSED_FORM_R:
+        x = _face_roots(target)[face, path]
+        reached = ~(1 + np.abs(x) > _INFINITY).any(axis=1)
+        work = [0, 0, len(x)]
+    else:
+        start, roots = _start_system(r)
+        x, reached, *rounds = _track(per_path, start, roots[path], shrink)
+        work = [*rounds, 0]
+    return (*_endpoints(per_path, x, reached), np.array(work))
 
 
 def _same_endpoints(x: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -482,35 +485,28 @@ def _solve_batch(vertex: np.ndarray, batch: _Batch) -> tuple[list[SolverEquilibr
     (n, r), unit = free.shape, np.abs(vertex).max() or 1.0
     coeffs = _moebius(_face_values(vertex, batch))
     own = np.take_along_axis(coeffs, free[..., None], axis=1)
+    # A free player indifferent on the whole face, within rounding, leaves no
+    # isolated root: at r = 1 the face holds none or a continuum, reported
+    # but never counted, and at r >= 2 each path would meet a singular
+    # Jacobian at t = 1, so all fail unsolved.
+    scale = np.abs(own).max(axis=2, initial=0)
+    degenerate = (scale <= _RESIDUAL_TOL * unit).any(axis=1)
     # r = 0: the vertex is the one candidate; r = 1: there is none
     x, state = np.zeros((n, int(r == 0), r)), np.zeros((n, int(r == 0)), dtype=int)
-    work = np.zeros(3, dtype=int)
-    degenerate, redo = np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
-    if r == 1:
-        # The single equation does not involve the free coordinate: it either
-        # fails (generic) or degenerates to a continuum, reported but never
-        # counted.
-        degenerate = np.abs(own[:, 0, 0]) <= _RESIDUAL_TOL * unit
-    elif r >= 2:
-        scale = np.abs(own).max(axis=2)
-        degenerate = (scale == 0).any(axis=1)
-        target = own / np.where(scale == 0, 1.0, scale)[..., None]
-        # a free player indifferent on the whole face leaves no isolated root:
-        # each path would meet a singular Jacobian at t = 1, so all fail untracked
+    work, redo = np.zeros(3, dtype=int), np.zeros(0, dtype=bool)
+    if r >= 2:
         live, d = ~degenerate, subfactorial(r)
         x, state = np.zeros((n, d, r), dtype=complex), np.full((n, d), _FAILED)
-        per_path = np.repeat(target[live], d, axis=0)
-        starts = np.tile(_start_system(r)[1], (int(live.sum()), 1))
+        target = own[live] / scale[live, :, None]
         with np.errstate(all="ignore"):
-            ends, ends_state, work = _first_pass(per_path, starts)
+            ends, ends_state, work = _solve_paths(target, np.ones((len(target), d), bool), 1)
             ends, ends_state = ends.reshape(-1, d, r), ends_state.reshape(-1, d)
             # a failed path and both paths of a jump take smaller steps on the
             # same homotopy; of a pair that meets again, the later path fails
             same = _same_endpoints(ends, ends_state)
             redo = (ends_state == _FAILED) | same.any(axis=1) | same.any(axis=2)
             if redo.any():
-                flat = redo.ravel()
-                more = _track_paths(per_path[flat], starts[flat], _RETRACK_SHRINK)
+                more = _solve_paths(target, redo, _RETRACK_SHRINK)
                 ends[redo], ends_state[redo] = more[:2]
                 work += more[2]
                 same = _same_endpoints(ends, ends_state)

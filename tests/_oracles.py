@@ -215,13 +215,14 @@ def monomials(x: np.ndarray) -> np.ndarray:
 def solve_all_tracking_every_face(
     game, config: solver.SolverConfig = solver.SolverConfig()
 ) -> solver.SolverReport:
-    """``solver.solve_all`` with no face solved in closed form: every path is tracked."""
-    first_pass = solver._first_pass
-    solver._first_pass = lambda target, x: solver._track_paths(target, x, 1)
+    """``solver.solve_all`` with no face solved in closed form: every path is
+    tracked, and then polished, checked for jumps and re-tracked as usual."""
+    closed_form_r = solver._CLOSED_FORM_R
+    solver._CLOSED_FORM_R = 1
     try:
         return solver.solve_all(game, config)
     finally:
-        solver._first_pass = first_pass
+        solver._CLOSED_FORM_R = closed_form_r
 
 
 def deformation_drift(baseline, trials) -> tuple[float, list[int], int]:

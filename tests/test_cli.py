@@ -60,6 +60,22 @@ BAD_GAME_FILES = {
     # a valid m = 16 product block: the stored tensor's shape is checked
     # before the tensor is built
     "empty-tensor-m16.json": {**maximal_game(16).to_dict(), "utilities": []},
+    # a valid float game, where a product game is needed
+    "float-game.json": {"m": 2, "mode": "float", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
+    "zero-m-float.json": {"m": 0, "mode": "float", "utilities": []},
+    "fuzzy-mode.json": {"m": 2, "mode": "fuzzy", "utilities": [[0, 1, 2, 3], [3, 2, 1, 0]]},
+    "integer-sigma.json": _maximal_m3_file(sigma=[1, 2]),
+    "short-v.json": _maximal_m3_file(v=[0, 0]),
+    "short-sigma-row.json": _maximal_m3_file(sigma=[[1, 2, 3], [3, 2, 1], [1, 2]]),
+    "repeated-sigma-image.json": _maximal_m3_file(sigma=[[1, 2, 3], [3, 2, 1], [1, 1, 3]]),
+    "missing-coefficient.json": _maximal_m3_file(
+        a={k: a for k, a in maximal_game(3).coeffs.to_dict().items() if k != "2,1"}
+    ),
+    # m = 2 coefficients for a product block of three players
+    "m-not-len-v.json": {
+        **json.loads(_maximal_m3_file(a={"1,2": "1/4", "2,1": "1/2"})),
+        "m": 2,
+    },
 }
 
 SUBCOMMANDS = ["table", "construct", "candidates", "classify", "solve", "deform", "scan"]
@@ -176,6 +192,9 @@ class TestConstructClassifySolve:
         assert main(["classify", str(game), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["total_equilibria"] % 2 == 1
+        # "id" is the identity for every player
+        assert main(["construct", "--m", "3", "--sigma", "id", "--out", str(game)]) == 0
+        assert [list(s.images) for s in load_game(game).ctuple.sigma] == [[1, 2, 3]] * 3
 
     def test_construct_m16_writes_no_tensor(self, tmp_path, capsys):
         # the tensor, 16 tables of 65536 entries, is neither written nor built
@@ -313,6 +332,18 @@ class TestConstructClassifySolve:
             "total": 28,
         }
 
+    def test_solve_fails_on_a_face_indifferent_within_rounding(self, tmp_path, capsys):
+        # player 1's payoff difference is 0.3 - (0.1 + 0.2), rounding noise,
+        # and player 2 is indifferent at x1 = 1/2: every point (1/2, x2) is
+        # an equilibrium.  Each face with player 1 free is degenerate, so
+        # the fully mixed path fails and the total is unproven.
+        game = tmp_path / "noise.json"
+        utilities = [[0.3, 0.3, 0.1 + 0.2, 0.1 + 0.2], [0, -0.5, 0, 0.5]]
+        game.write_text(json.dumps({"m": 2, "mode": "float", "utilities": utilities}))
+        assert main(["solve", str(game)]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and json.loads(errors[0])["error"] == "failed_paths"
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["classify", "/nonexistent/game.json"]) == 2
         err = capsys.readouterr().err
@@ -343,7 +374,7 @@ class TestDeformScan:
 
     def test_scan(self, capsys):
         rc = main(
-            ["scan", "--m", "2", "--trials", "5", "--format", "json"]
+            ["scan", "--m", "2", "--trials", "5", "--seed", "3", "--format", "json"]
         )
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -439,6 +470,21 @@ class TestInputValidation:
                 ["construct", "--m", "3", "--v", "", "--out", "g.json"],
                 "--v must be a bit string of length 3",
             ),
+            (
+                ["construct", "--m", "3", "--sigma", "id;id", "--out", "g.json"],
+                "need 3 permutations separated by ';', got 2",
+            ),
+            (["classify", "float-game.json"], "file does not hold an exact-mode product game"),
+            (["deform", "float-game.json"], "file does not hold an exact-mode product game"),
+            (["candidates", "float-game.json"], "file does not hold an exact-mode product game"),
+            (["solve", "zero-m-float.json"], "key 'm' must be positive, not 0"),
+            (["solve", "fuzzy-mode.json"], "key 'mode' must be 'exact' or 'float'"),
+            (["classify", "integer-sigma.json"], "must hold lists of integers"),
+            (["classify", "short-v.json"], "v and sigma must have the same length"),
+            (["classify", "short-sigma-row.json"], "sigma[3] acts on the wrong set"),
+            (["classify", "missing-coefficient.json"], "missing coefficient for pair (2,1)"),
+            (["classify", "m-not-len-v.json"], "coefficient matrix size does not match tuple"),
+            (["classify", "repeated-sigma-image.json"], "not a bijection"),
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(

@@ -97,6 +97,12 @@ class TestCandidateCounts:
             assert per_class[m] == 2**m  # vertices
             assert per_class[m - 1] == 0  # no derangement of one element
 
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            candidate_count(0)
+        with pytest.raises(ValueError):
+            candidates_on_face_class(3, 4)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("m", range(0, 8))

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from _oracles import (
 from twoaction.candidate_engine import census, equilibria
 from twoaction.game_model import FLOAT, TwoActionGame, build_product_game, maximal_game, perturb
 from twoaction import solver
+from twoaction.cli import main
 from twoaction.combinatorics import candidate_count, maximal_equilibrium_count, subfactorial
 from twoaction.solver import (
     PATH_STATES,
@@ -259,7 +261,7 @@ class TestHomotopy:
         own = solver._moebius(solver._face_values(vertex, solver._batch(supports)))
         start, roots = solver._start_system(4)
         per_path = np.repeat(own, len(roots), axis=0)
-        _, reached, _, accepted, rejected = solver._track(per_path, start, roots, 1)
+        _, reached, accepted, rejected = solver._track(per_path, start, roots, 1)
         assert not reached.any()
         assert accepted + rejected == 3 * len(per_path)
         assert calls == [len(roots)] * (1 + 2 * 3)
@@ -319,7 +321,7 @@ class TestPathAccounting:
             assert stats["starts"] == candidate_count(game.m) - 2**game.m
             assert stats["converged"] == stats["starts"] - stats["diverged"] - stats["failed"]
 
-    def test_root_at_infinity_is_diverged(self):
+    def test_root_at_infinity_is_diverged(self, monkeypatch):
         # lam_1 = 1 everywhere: the (free, free) system has no finite root,
         # so its one path diverges, tracked or in closed form
         game = TwoActionGame(2, [[0, 0, 1, 1], [0, 1, 0, -1]], mode=FLOAT)
@@ -328,11 +330,12 @@ class TestPathAccounting:
         assert stats["converged"] == stats["failed"] == 0
         batch = solver._batch([SupportProfile(("free", "free"))])
         target = solver._moebius(solver._face_values(solver._vertex_differences(game), batch))
-        starts = solver._start_system(2)[1]
+        every = np.ones((1, 1), dtype=bool)
         with np.errstate(all="ignore"):
-            _, state, _ = solver._track_paths(target, starts, 1)
             # in closed form the root is -c / d with d = 0
-            _, closed, work = solver._first_pass(target, starts)
+            _, closed, work = solver._solve_paths(target, every, 1)
+            monkeypatch.setattr(solver, "_CLOSED_FORM_R", 1)
+            _, state, _ = solver._solve_paths(target, every, 1)
         assert state.tolist() == closed.tolist() == [PATH_STATES.index("diverged")]
         assert work.tolist() == [0, 0, 1]
 
@@ -343,20 +346,15 @@ class TestPathAccounting:
         # support; the same roots reached in another support are none.
         batch = solver._batch([SupportProfile(("free",) * 4)])
         vertex = solver._vertex_differences(maximal_game(4))
-        starts = solver._start_system(4)[1]
-        target = np.repeat(solver._moebius(solver._face_values(vertex, batch)), 9, axis=0)
-        roots, state, _ = solver._track_paths(target, starts, 1)
+        target = solver._moebius(solver._face_values(vertex, batch))
+        roots, state, _ = solver._solve_paths(target, np.ones((1, 9), dtype=bool), 1)
         interior, failed = PATH_STATES.index("real_interior"), PATH_STATES.index("failed")
         assert state.tolist() == [interior] * 9
         jumped = np.concatenate([roots, roots])
         jumped[5] = jumped[3]
-        monkeypatch.setattr(
-            solver,
-            "_track",
-            lambda *args: (jumped, np.ones(18, bool), np.zeros(18, bool), 0, 0),
-        )
+        monkeypatch.setattr(solver, "_track", lambda *args: (jumped, np.ones(18, bool), 0, 0))
         two = np.concatenate([target, target])
-        ends, state, _ = solver._track_paths(two, np.tile(starts, (2, 1)), 1)
+        ends, state, _ = solver._solve_paths(two, np.ones((2, 9), dtype=bool), 1)
         state = state.reshape(2, 9)
         state[solver._same_endpoints(ends.reshape(2, 9, 4), state).any(axis=1)] = solver._FAILED
         assert state.tolist() == [[interior] * 5 + [failed] + [interior] * 3, [interior] * 9]
@@ -393,19 +391,27 @@ class TestPathAccounting:
         assert sum(a == b for a, b in zip(found, kept)) >= 7
         assert np.abs(np.subtract(found, kept)).max() < 1e-12
 
-    def test_degenerate_face_fails_untracked(self):
-        # player 1 is indifferent everywhere, so every face where it is free
-        # is degenerate: no isolated root, and its paths fail without a round.
+    @pytest.mark.parametrize("noise", [0.0, 1e-17, 1e-12])
+    def test_degenerate_face_fails_untracked(self, noise):
+        # player 1 is indifferent everywhere, within rounding of the largest
+        # payoff difference, so every face where it is free is degenerate, at
+        # every r: no isolated root, and its paths fail without a round.
         # Those are 6 of the 8 paths: the 4 faces with player 1 and one other
         # player free hold one path each, and the fully mixed face two.
-        t = np.random.default_rng(5).uniform(-1, 1, size=(3, 8))
-        t[0] = 0.0
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-1, 1, size=(3, 8))
+        t[0] = noise * rng.uniform(-1, 1, size=8)
         report = solve_all(TwoActionGame(3, t.tolist(), mode=FLOAT))
         stats = report.stats
         assert (stats["failed"], stats["starts"]) == (6, 8)
         assert stats["steps"] == stats["rejected"] == stats["retracked"] == 0
         assert stats["degenerate_supports"] == 9
-        assert report.total == 0
+        # no equilibrium lies on a degenerate face.  At a vertex, player 1's
+        # margin is a sum of noise entries: below _MARGIN_TOL with no noise
+        # or 1e-17 of it, so no profile is an equilibrium; at 1e-12 it can
+        # clear _MARGIN_TOL, and one vertex is.
+        assert all(eq.support.kinds[0] != "free" for eq in report.equilibria)
+        assert report.total == 0 or noise >= solver._MARGIN_TOL
 
     @pytest.mark.parametrize("corrector_tol, shrink", [(0.5, 8), (10.0, 1)])
     def test_path_jumps_are_retracked_or_reported(self, monkeypatch, corrector_tol, shrink):
@@ -689,6 +695,24 @@ class TestRandomScan:
         assert report.all_ok
         assert report.violations == []
         assert report.paired_excess == [{"trial": 0, "census": [2, 4, 0, 1]}]
+
+    def test_violation_is_recorded(self, monkeypatch):
+        # census [1, 0, 2, 0] has an odd total but two equilibria in class 2,
+        # whose bound is 2^2 !1 = 0: the scan records the trial and fails
+        report = SimpleNamespace(total=3, face_census=[1, 0, 2, 0], stats={"failed": 0})
+        monkeypatch.setattr(solver, "solve_all", lambda game, config: report)
+        scan = scan_inequalities(3, trials=1, seed=0)
+        assert scan.violations[0]["trial"] == 0
+        assert scan.violations[0]["check"]["census"] == [1, 0, 2, 0]
+        assert not scan.all_ok
+        assert main(["scan", "--m", "3", "--trials", "1"]) == 1
+
+    def test_degenerate_draws_give_up(self, monkeypatch):
+        # every payoff difference lies within 10 of zero, so every draw is
+        # rejected and the generator gives up after _MAX_REGEN of them
+        monkeypatch.setattr(solver, "_DEGENERACY_TOL", 10)
+        with pytest.raises(RuntimeError, match="non-degenerate"):
+            random_generic_game(3, np.random.default_rng(0))
 
     def test_config_has_no_seed(self):
         # nothing in the solver is random, so the config carries no seed
