@@ -244,6 +244,12 @@ def cmd_solve(args) -> int:
         error = {"error": "failed_paths", "total": report.total, "failed": failed, "starts": starts}
         print(json.dumps(error), file=sys.stderr)
         return FAIL
+    degenerate = report.stats["degenerate_supports"]
+    if degenerate:
+        # a degenerate face holds a continuum of equilibria or none: unproven too
+        error = {"error": "degenerate_supports", "total": report.total, "degenerate_supports": degenerate}
+        print(json.dumps(error), file=sys.stderr)
+        return FAIL
     if args.expect_total is not None and report.total != args.expect_total:
         print(
             json.dumps({"error": "unexpected_total", "total": report.total}),

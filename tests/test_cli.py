@@ -344,6 +344,18 @@ class TestConstructClassifySolve:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and json.loads(errors[0])["error"] == "failed_paths"
 
+    def test_solve_fails_on_a_degenerate_face_with_one_free_player(self, tmp_path, capsys):
+        # every (x1, 0) is an equilibrium: player 1 is indifferent when
+        # player 2 plays 0, which player 2 strictly prefers.  The r = 1 face
+        # holding them is degenerate and has no path to fail, so the total
+        # is unproven all the same.
+        game = tmp_path / "degenerate.json"
+        utilities = [[0, 0, 0, 1], [0, -1, 0, -1]]
+        game.write_text(json.dumps({"m": 2, "mode": "float", "utilities": utilities}))
+        assert main(["solve", str(game)]) == 1
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert errors == [{"error": "degenerate_supports", "total": 0, "degenerate_supports": 1}]
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["classify", "/nonexistent/game.json"]) == 2
         err = capsys.readouterr().err
@@ -600,3 +612,35 @@ class TestParser:
         bare = run()
         assert bare.returncode == 2
         assert "the following arguments are required: command" in bare.stderr
+
+
+class TestImportGraph:
+    def test_counting_and_solving_load_apart(self):
+        # the exact engine and the numeric solver check each other, so a
+        # fresh process that counts loads no solver, and one that solves
+        # loads no candidate engine
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def loaded_after(code):
+            code += "\nimport sys; print(*sys.modules, sep='\\n')"
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            return run.stdout.splitlines()
+
+        counting = loaded_after(
+            "from twoaction.candidate_engine import census\n"
+            "from twoaction.game_model import maximal_game\n"
+            "census(maximal_game(5), 'both'); census(maximal_game(5), 'increment')"
+        )
+        assert "twoaction.candidate_engine" in counting
+        assert "twoaction.solver" not in counting
+        solving = loaded_after(
+            "from twoaction.solver import solve_all\n"
+            "from twoaction.game_model import TwoActionGame\n"
+            "game = TwoActionGame(2, [[0, 1, 2, 3], [3, 2, 1, 0]], mode='float')\n"
+            "assert solve_all(game).total % 2 == 1"
+        )
+        assert "twoaction.solver" in solving
+        assert "twoaction.candidate_engine" not in solving

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twoaction
 from twoaction import candidate_engine, kernel, solver
 from twoaction.game_model import maximal_game
 
@@ -92,3 +93,8 @@ def test_equilibria_items_give_float_coordinates():
     points = [cand.gamma_floats() for cand in candidate_engine.equilibria(game, "both")]
     assert len(points) == 9
     assert all(len(p) == 3 and all(type(x) is float for x in p) for p in points)
+
+
+def test_kernel_named_at_the_package_root():
+    # run.py records twoaction.KERNEL in every run's metadata
+    assert twoaction.KERNEL == kernel.KERNEL

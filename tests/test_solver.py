@@ -707,6 +707,30 @@ class TestRandomScan:
         assert not scan.all_ok
         assert main(["scan", "--m", "3", "--trials", "1"]) == 1
 
+    def test_even_totals_are_redrawn_then_recorded(self, monkeypatch):
+        # every draw solves to an even total: each trial draws its game
+        # _MAX_RETRIES + 1 = 5 times, then records a parity failure
+        report = SimpleNamespace(total=2, face_census=[1, 1, 0, 0], stats={"failed": 0})
+        monkeypatch.setattr(solver, "solve_all", lambda game, config: report)
+        scan = scan_inequalities(3, trials=2, seed=0)
+        assert (scan.regenerations, scan.even_count_failures) == (10, 2)
+        assert scan.violations == []
+        assert not scan.all_ok
+        assert main(["scan", "--m", "3", "--trials", "2"]) == 1
+
+    def test_an_odd_redraw_ends_the_trial(self, monkeypatch):
+        reports = iter(
+            [
+                SimpleNamespace(total=2, face_census=[1, 1, 0, 0], stats={"failed": 0}),
+                SimpleNamespace(total=1, face_census=[1, 0, 0, 0], stats={"failed": 0}),
+            ]
+        )
+        monkeypatch.setattr(solver, "solve_all", lambda game, config: next(reports))
+        scan = scan_inequalities(3, trials=1, seed=0)
+        assert (scan.regenerations, scan.even_count_failures) == (1, 0)
+        assert scan.totals_histogram == {1: 1}
+        assert scan.all_ok
+
     def test_degenerate_draws_give_up(self, monkeypatch):
         # every payoff difference lies within 10 of zero, so every draw is
         # rejected and the generator gives up after _MAX_REGEN of them
